@@ -8,7 +8,8 @@
 #      baseline — the same artifact `suite-run` is gated on,
 #   3. a warm resubmission replays 100% from the memory tier (zero new
 #      compiles),
-#   4. the HTTP front end answers healthz/submit/stats,
+#   4. the HTTP front end answers healthz/submit/stats, and a batch
+#      body comes back slot by slot in element order,
 #   5. the daemon drains cleanly on shutdown, and
 #   6. a *restarted* daemon over the same --cache-dir serves the whole
 #      suite from the disk spill tier — byte-identical again, zero
@@ -144,7 +145,24 @@ curl -fsS -X POST "http://$HTTP_ADDR/v1/submit" \
   -d '{"benchmark":"logic_gate_or","stages":["validate"]}' \
   | grep -q '"event":"done"'
 curl -fsS "http://$HTTP_ADDR/v1/stats" | grep -q 'parchmint-serve-stats/v2'
-echo "http front end answered healthz, submit, and stats"
+# A batch: two copies of one design plus a malformed element. Every
+# element is admitted on its own; the copies share one cache key and
+# only the malformed slot fails, which makes the batch a 400.
+BATCH=$(curl -sS -w '\n%{http_code}' -X POST "http://$HTTP_ADDR/v1/submit" -d '[
+  {"id":"a","benchmark":"logic_gate_and","stages":["validate"]},
+  {"id":"b","benchmark":"logic_gate_and","stages":["validate"]},
+  {"id":"c","benchmark":7}]')
+python3 - "$BATCH" <<'EOF'
+import json, sys
+body, status = sys.argv[1].rsplit("\n", 1)
+finals = [slot["events"][-1] for slot in json.loads(body)["results"]]
+assert [e["id"] for e in finals] == ["a", "b", "c"], finals
+assert [e["event"] for e in finals] == ["done", "done", "error"], finals
+assert finals[0]["key"] == finals[1]["key"], finals
+assert finals[2]["error"]["kind"] == "bad_request", finals
+assert status == "400", status
+EOF
+echo "http front end answered healthz, submit, batch, and stats"
 
 # --- Phase 5: clean shutdown.
 shutdown_daemon

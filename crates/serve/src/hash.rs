@@ -7,10 +7,11 @@
 //! sorted key order (member order gone), and the canonical compact
 //! serialization of that value is hashed with FNV-1a 64.
 //!
-//! FNV is not collision-resistant in the cryptographic sense; it does not
-//! need to be. The cache is a performance layer keyed over trusted-ish
-//! inputs, and a (astronomically unlikely) collision costs a wrong cached
-//! answer for the colliding submitter only, never memory unsafety.
+//! FNV is not collision-resistant: accidental collisions are
+//! astronomically unlikely, but colliding documents are easy to build on
+//! purpose. The cache matches on this key alone, so whoever submits
+//! first decides what a colliding second submitter gets: the first
+//! design's cached answer. A collision never costs memory safety.
 
 use serde_json::Value;
 

@@ -5,14 +5,16 @@
 //! pool, admission queue, and tiered cache as the line protocol:
 //!
 //! - `POST /v1/submit` — body is the same object as a line-protocol
-//!   `submit` (`op` optional; the route implies it). The connection
-//!   blocks until the submission finishes, then gets the full event
-//!   stream as `{"proto":…,"events":[…]}` with the status derived from
-//!   the final event. A JSON **array** body is a batch: every element
-//!   is one submission, fanned out across the service's sharded batch
-//!   path (duplicate designs coalesce on the single-flight tables), and
-//!   the response is `{"proto":…,"results":[{"events":[…]},…]}` in
-//!   element order. A malformed element errors in its own slot without
+//!   `submit` (`op` optional; the route implies it), admitted through
+//!   `Server::admit` like a line submit. The connection blocks until
+//!   the submission finishes, then gets the full event stream as
+//!   `{"proto":…,"events":[…]}` with the status derived from the final
+//!   event. A JSON **array** body is a batch: every element is admitted
+//!   as its own submission into the same queue and worker pool
+//!   (duplicate designs coalesce on the single-flight tables; an
+//!   element beyond the free queue capacity comes back `busy`), and the
+//!   response is `{"proto":…,"results":[{"events":[…]},…]}` in element
+//!   order. A malformed element errors in its own slot without
 //!   disturbing its neighbours.
 //! - `GET /v1/stats` — the daemon's counter snapshot.
 //! - `GET /v1/healthz` — `200 {"status":"ok"}` while accepting,
@@ -38,13 +40,13 @@
 //!   deadline — a truncated body is a 400, a stalled one a 408.
 
 use crate::net::{self, BodyError, LineReader, Poll};
-use crate::protocol::{self, ErrorKind, WireError, PROTO};
-use crate::server::{Server, SharedWriter};
+use crate::protocol::{self, ErrorKind, Request, WireError, PROTO};
+use crate::server::{Server, Sink};
 use parchmint_obs::Recorder;
 use serde_json::{Map, Value};
-use std::io::{self, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Longest accepted request line or single header line, in bytes.
@@ -288,16 +290,19 @@ fn status_for(kind: &str) -> u16 {
 }
 
 /// The `retry_after_ms` hint carried by a refusal body, wherever the
-/// taxonomy put it: a bare error event or the last event of a stream.
+/// taxonomy put it: a bare error event, the last event of a stream, or
+/// the first refused slot of a batch.
 fn retry_after_ms_in(body: &Value) -> Option<u64> {
-    if let Some(ms) = body["error"]["retry_after_ms"].as_u64() {
-        return Some(ms);
-    }
-    body["events"]
-        .as_array()?
-        .iter()
-        .rev()
-        .find_map(|event| event["error"]["retry_after_ms"].as_u64())
+    let hint = |events: &Value| events.as_array()?.last()?["error"]["retry_after_ms"].as_u64();
+    body["error"]["retry_after_ms"]
+        .as_u64()
+        .or_else(|| hint(&body["events"]))
+        .or_else(|| {
+            body["results"]
+                .as_array()?
+                .iter()
+                .find_map(|slot| hint(&slot["events"]))
+        })
 }
 
 fn write_response(
@@ -332,51 +337,6 @@ fn error_body(kind: ErrorKind, message: &str) -> (u16, Value) {
     )
 }
 
-/// The write half a submitted HTTP job streams its events into: every
-/// line the workers emit is parsed and collected, and the final
-/// `done`/`error` event flips `finished`, waking the parked connection
-/// handler.
-struct EventCollector {
-    state: Arc<(Mutex<CollectState>, Condvar)>,
-}
-
-#[derive(Default)]
-struct CollectState {
-    buffer: Vec<u8>,
-    events: Vec<Value>,
-    finished: bool,
-}
-
-impl Write for EventCollector {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let (lock, signal) = &*self.state;
-        let mut state = lock.lock().expect("collector lock");
-        state.buffer.extend_from_slice(data);
-        while let Some(newline) = state.buffer.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = state.buffer.drain(..=newline).collect();
-            let Ok(text) = std::str::from_utf8(&line) else {
-                continue;
-            };
-            let Ok(event) = serde_json::from_str::<Value>(text.trim()) else {
-                continue;
-            };
-            let kind = event["event"].as_str().unwrap_or_default();
-            if kind == "done" || kind == "error" {
-                state.finished = true;
-            }
-            state.events.push(event);
-        }
-        if state.finished {
-            signal.notify_all();
-        }
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Derives the HTTP status for one submission from its final event.
 fn status_of(events: &[Value]) -> u16 {
     match events.last() {
@@ -386,103 +346,83 @@ fn status_of(events: &[Value]) -> u16 {
     }
 }
 
-/// Handles a `POST /v1/submit` body: an object is one submission
-/// admitted through the shared queue; an array is a batch fanned out
-/// through [`crate::service::Service::process_submit_batch`]. Blocks
-/// until every submission finishes, returning `(status, body)`.
-fn handle_submit(server: &Server, body: &str) -> (u16, Value) {
-    let value: Value = match serde_json::from_str(body) {
-        Ok(value) => value,
-        Err(error) => {
-            return error_body(
-                ErrorKind::BadRequest,
-                &format!("body is not valid JSON: {error}"),
-            )
-        }
+/// Admits one parsed `POST /v1/submit` object (the whole body or one
+/// batch element) and returns the channel its events arrive on.
+fn admit(server: &Server, request: Request) -> mpsc::Receiver<Value> {
+    let Request::Submit(request) = request else {
+        unreachable!("the submit route parses only submits");
     };
-    if let Value::Array(items) = value {
-        return handle_submit_batch(server, &items);
-    }
-    let request = match protocol::parse_submit_value(&value) {
-        Ok(request) => request,
-        Err((id, error)) => {
-            return (
-                status_for(error.kind.as_str()),
-                protocol::error_event(&id, &error),
-            )
-        }
-    };
-    let state = Arc::new((Mutex::new(CollectState::default()), Condvar::new()));
-    let out: SharedWriter = Arc::new(Mutex::new(Box::new(EventCollector {
-        state: Arc::clone(&state),
-    })));
-    // Refusals (busy/shutting_down) are written through the same
-    // collector, so waiting on `finished` covers both outcomes.
-    server.admit(request, &out, None);
-    let (lock, signal) = &*state;
-    let mut collected = lock.lock().expect("collector lock");
-    while !collected.finished {
-        collected = signal.wait(collected).expect("collector lock");
-    }
-    let events = std::mem::take(&mut collected.events);
-    let status = status_of(&events);
-    let mut body = Map::new();
-    body.insert("proto".to_string(), Value::from(PROTO));
-    body.insert("events".to_string(), Value::Array(events));
-    (status, Value::Object(body))
+    let (sink, events) = mpsc::channel();
+    server.admit(request, Sink::Channel(sink), None);
+    events
 }
 
-/// Runs a batch body: every array element is one submission. Parsed
-/// elements fan out across the service's sharded batch path (so
-/// duplicate designs within the batch coalesce to one compile);
-/// malformed elements become single-error slots. The overall status is
-/// 200 only when every slot finished `done`; otherwise it is the first
-/// failing slot's status.
-fn handle_submit_batch(server: &Server, items: &[Value]) -> (u16, Value) {
+/// Reads one submission's events to the end and returns its status and
+/// `{"events": […]}` body. An admitted job's channel ends when the job
+/// drops its sender: after the final event, or early when the worker
+/// running it dies, and the truncated stream then maps to 500.
+fn reply(events: impl IntoIterator<Item = Value>) -> (u16, Map) {
+    let events: Vec<Value> = events.into_iter().collect();
+    let mut body = Map::new();
+    let status = status_of(&events);
+    body.insert("events".to_string(), Value::Array(events));
+    (status, body)
+}
+
+/// Handles a `POST /v1/submit` body: an object is one submission, an
+/// array a batch of them. Blocks until every submission finishes,
+/// returning `(status, body)`.
+pub(crate) fn handle_submit(server: &Server, body: &str) -> (u16, Value) {
+    let parsed = match protocol::read_json(body, "body") {
+        Ok(Value::Array(items)) => return handle_submit_batch(server, items),
+        Ok(value) => protocol::parse_value(value, Some("submit")),
+        Err(refusal) => Err(refusal),
+    };
+    match parsed {
+        Ok(request) => {
+            let (status, mut body) = reply(admit(server, request));
+            body.insert("proto".to_string(), Value::from(PROTO));
+            (status, Value::Object(body))
+        }
+        Err((id, error)) => (
+            status_for(error.kind.as_str()),
+            protocol::error_event(&id, &error),
+        ),
+    }
+}
+
+/// Runs a batch body: every array element is admitted as one
+/// submission before any is awaited, so the batch spreads over the
+/// worker pool; a malformed element becomes a single-error slot. The
+/// overall status is 200 only when every slot finished `done`;
+/// otherwise it is the first failing slot's status.
+fn handle_submit_batch(server: &Server, items: Vec<Value>) -> (u16, Value) {
     if server.is_shutting_down() {
         return error_body(ErrorKind::ShuttingDown, "daemon is draining");
     }
-    let mut slots: Vec<Option<Vec<Value>>> = Vec::with_capacity(items.len());
-    let mut indices = Vec::new();
-    let mut parsed = Vec::new();
-    for (index, item) in items.iter().enumerate() {
-        match protocol::parse_submit_value(item) {
-            Ok(request) => {
-                indices.push(index);
-                parsed.push(*request);
-                slots.push(None);
-            }
-            Err((id, error)) => slots.push(Some(vec![protocol::error_event(&id, &error)])),
-        }
-    }
-    let outcomes = server.service().process_submit_batch(&parsed);
-    for (index, events) in indices.into_iter().zip(outcomes) {
-        slots[index] = Some(events);
-    }
-    let results: Vec<Vec<Value>> = slots
+    let pending: Vec<_> = items
         .into_iter()
-        .map(|slot| slot.expect("every batch slot is filled"))
+        .map(|item| protocol::parse_value(item, Some("submit")).map(|r| admit(server, r)))
         .collect();
-    let status = results
+    let replies: Vec<(u16, Map)> = pending
+        .into_iter()
+        .map(|slot| match slot {
+            Ok(events) => reply(events),
+            Err((id, error)) => reply([protocol::error_event(&id, &error)]),
+        })
+        .collect();
+    let status = replies
         .iter()
-        .map(|events| status_of(events))
+        .map(|(status, _)| *status)
         .find(|status| *status != 200)
         .unwrap_or(200);
+    let results = replies
+        .into_iter()
+        .map(|(_, body)| Value::Object(body))
+        .collect();
     let mut body = Map::new();
     body.insert("proto".to_string(), Value::from(PROTO));
-    body.insert(
-        "results".to_string(),
-        Value::Array(
-            results
-                .into_iter()
-                .map(|events| {
-                    let mut result = Map::new();
-                    result.insert("events".to_string(), Value::Array(events));
-                    Value::Object(result)
-                })
-                .collect(),
-        ),
-    );
+    body.insert("results".to_string(), Value::Array(results));
     (status, Value::Object(body))
 }
 
@@ -591,5 +531,38 @@ pub(crate) fn run_http(server: &Arc<Server>, listener: TcpListener) {
             let recorder: Arc<dyn Recorder> = server.service().collector();
             parchmint_obs::with_recorder(recorder, || handle_connection(&server, stream));
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_sink_dropped_mid_job_answers_500_instead_of_blocking() {
+        // A worker that dies mid-job unwinds and drops its job, and the
+        // job's sink with it; the handler must answer with what arrived.
+        let (sender, events) = mpsc::channel();
+        let sink = Sink::Channel(sender);
+        sink.send(protocol::cell_event(
+            &Value::from("h"),
+            "logic_gate_or",
+            "validate",
+            "ok",
+            None,
+            &Default::default(),
+            0.0,
+            false,
+        ));
+        drop(sink);
+        let (status, body) = reply(events);
+        assert_eq!(status, 500);
+        let events = body
+            .get("events")
+            .and_then(Value::as_array)
+            .expect("events");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0]["event"], Value::from("cell"));
+        assert_eq!(events[0]["id"], Value::from("h"));
     }
 }

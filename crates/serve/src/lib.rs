@@ -28,8 +28,10 @@
 //! - [`service`] — the transport-agnostic request path, built directly
 //!   on [`parchmint_harness::engine`] so daemon cells and harness cells
 //!   are produced by the identical compile/retry/severity machinery;
-//! - [`server`] — the stdio/TCP line transports and the worker pool,
-//!   plus [`server::run`] which assembles every configured transport;
+//! - [`server`] — the request core every transport shares (one
+//!   admission queue, one supervised worker pool, one event sink per
+//!   job), the stdio/TCP line transports, and [`server::run`] which
+//!   assembles every configured transport;
 //! - [`http`] — the hand-rolled HTTP/1.1 front end (`POST /v1/submit`,
 //!   `GET /v1/stats`, `GET /v1/healthz`) over the same server;
 //! - [`client`] — a pipelining, fault-tolerant TCP client that
@@ -71,10 +73,10 @@ pub use client::{
 pub use flight::{Flight, FlightToken, FlightWait, SingleFlight};
 pub use net::{LineReader, Poll};
 pub use protocol::{
-    parse_request, parse_submit_body, parse_submit_value, DesignSource, ErrorKind, Request,
-    SubmitRequest, WireError, PROTO, PROTO_MAJOR,
+    parse_request, parse_submit_body, parse_value, DesignSource, ErrorKind, Request, SubmitRequest,
+    WireError, PROTO, PROTO_MAJOR,
 };
 pub use queue::{Bounded, PushError};
-pub use server::{run, serve, serve_stdio, serve_tcp, LineOutcome, Server, SharedWriter};
+pub use server::{run, serve, serve_tcp, LineOutcome, Server, SharedWriter};
 pub use service::{ServeConfig, ServeConfigBuilder, Service, DEFAULT_QUEUE_CAPACITY};
 pub use spill::{Spill, SpillEntry, SPILL_SCHEMA};

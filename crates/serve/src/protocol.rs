@@ -204,71 +204,70 @@ fn check_proto(object: &Map) -> Result<(), WireError> {
     }
 }
 
+/// Parses `text` as one JSON value; `what` names it in the error.
+pub(crate) fn read_json(text: &str, what: &str) -> Result<Value, (Value, WireError)> {
+    serde_json::from_str(text)
+        .map_err(|e| (Value::Null, bad(format!("{what} is not valid JSON: {e}"))))
+}
+
 /// Parses one request line. On failure the error comes back paired
 /// with whatever `id` could be recovered from the line, so the error
 /// response still correlates.
 pub fn parse_request(line: &str) -> Result<Request, (Value, WireError)> {
-    let value: Value = serde_json::from_str(line)
-        .map_err(|e| (Value::Null, bad(format!("request is not valid JSON: {e}"))))?;
-    let Value::Object(object) = value else {
-        return Err((Value::Null, bad("request must be a JSON object")));
-    };
-    let id = object.get("id").cloned().unwrap_or(Value::Null);
-    parse_object(&object, id.clone()).map_err(|error| (id, error))
+    parse_value(read_json(line, "request")?, None)
 }
 
 /// Parses an HTTP `POST /v1/submit` body: the same object as a
 /// line-protocol submit, with `op` optional (it is implied by the
 /// route, but `"submit"` is accepted).
 pub fn parse_submit_body(body: &str) -> Result<Box<SubmitRequest>, (Value, WireError)> {
-    let value: Value = serde_json::from_str(body)
-        .map_err(|e| (Value::Null, bad(format!("body is not valid JSON: {e}"))))?;
-    parse_submit_value(&value)
-}
-
-/// Parses one submit object that has already been read as a [`Value`] —
-/// the single HTTP body, or one element of an HTTP batch array. The
-/// same shape as a line-protocol submit, with `op` optional.
-pub fn parse_submit_value(value: &Value) -> Result<Box<SubmitRequest>, (Value, WireError)> {
-    let Value::Object(object) = value else {
-        return Err((Value::Null, bad("submit must be a JSON object")));
-    };
-    let id = object.get("id").cloned().unwrap_or(Value::Null);
-    let build = || -> Result<Box<SubmitRequest>, WireError> {
-        check_proto(object)?;
-        match object.get("op").and_then(Value::as_str) {
-            None | Some("submit") => {}
-            Some(other) => return Err(bad(format!("`op` must be `submit`, not `{other}`"))),
-        }
-        parse_submit(object, id.clone())
-    };
-    build().map_err(|error| (id, error))
-}
-
-fn parse_object(object: &Map, id: Value) -> Result<Request, WireError> {
-    check_proto(object)?;
-    let op = object
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| bad("missing string field `op`"))?;
-    match op {
-        "submit" => Ok(Request::Submit(parse_submit(object, id)?)),
-        "stats" => Ok(Request::Stats { id }),
-        "ping" => Ok(Request::Ping { id }),
-        "shutdown" => Ok(Request::Shutdown { id }),
-        other => Err(bad(format!("unknown op `{other}`"))),
+    match parse_value(read_json(body, "body")?, Some("submit"))? {
+        Request::Submit(request) => Ok(request),
+        _ => unreachable!("the submit route parses only submits"),
     }
 }
 
-fn parse_submit(object: &Map, id: Value) -> Result<Box<SubmitRequest>, WireError> {
+/// The request parser every transport shares. `route_op` is the op a
+/// transport's route implies (HTTP `POST /v1/submit` passes
+/// `Some("submit")`): it stands in for a missing `op`, and a present
+/// `op` must match it. The line protocol passes `None`, so `op` is
+/// required. The request is taken by value, so an inline design moves
+/// into the [`SubmitRequest`] instead of being copied.
+pub fn parse_value(value: Value, route_op: Option<&str>) -> Result<Request, (Value, WireError)> {
+    let Value::Object(object) = value else {
+        let what = route_op.unwrap_or("request");
+        return Err((Value::Null, bad(format!("{what} must be a JSON object"))));
+    };
+    let id = object.get("id").cloned().unwrap_or(Value::Null);
+    parse_object(object, route_op, id.clone()).map_err(|error| (id, error))
+}
+
+fn parse_object(object: Map, route_op: Option<&str>, id: Value) -> Result<Request, WireError> {
+    check_proto(&object)?;
+    let op = object
+        .get("op")
+        .and_then(Value::as_str)
+        .or(route_op)
+        .ok_or_else(|| bad("missing string field `op`"))?;
+    match (op, route_op) {
+        (op, Some(route)) if op != route => Err(bad(format!("`op` must be `{route}`, not `{op}`"))),
+        ("submit", _) => Ok(Request::Submit(parse_submit(object, id)?)),
+        ("stats", _) => Ok(Request::Stats { id }),
+        ("ping", _) => Ok(Request::Ping { id }),
+        ("shutdown", _) => Ok(Request::Shutdown { id }),
+        (other, _) => Err(bad(format!("unknown op `{other}`"))),
+    }
+}
+
+fn parse_submit(mut object: Map, id: Value) -> Result<Box<SubmitRequest>, WireError> {
     let source = match (
-        object.get("design"),
-        object.get("mint"),
-        object.get("benchmark"),
+        object.remove("design"),
+        object.remove("mint"),
+        object.remove("benchmark"),
     ) {
-        (Some(design), None, None) => DesignSource::Json(design.clone()),
-        (None, Some(Value::String(text)), None) => DesignSource::Mint(text.clone()),
-        (None, None, Some(Value::String(name))) => DesignSource::Benchmark(name.clone()),
+        (Some(design), None, None) => DesignSource::Json(design),
+        (None, Some(Value::String(text)), None) => DesignSource::Mint(text),
+        (None, None, Some(Value::String(name))) => DesignSource::Benchmark(name),
         (None, Some(_), None) | (None, None, Some(_)) => {
             return Err(bad("`mint` and `benchmark` must be strings"))
         }
@@ -286,9 +285,9 @@ fn parse_submit(object: &Map, id: Value) -> Result<Box<SubmitRequest>, WireError
     Ok(Box::new(SubmitRequest {
         id,
         source,
-        stages: opt_string_list(object, "stages")?,
-        deadline_ms: opt_u64(object, "deadline_ms")?,
-        fuel: opt_u64(object, "fuel")?,
+        stages: opt_string_list(&object, "stages")?,
+        deadline_ms: opt_u64(&object, "deadline_ms")?,
+        fuel: opt_u64(&object, "fuel")?,
     }))
 }
 

@@ -1,21 +1,22 @@
-//! Daemon transports: stdio, TCP, and HTTP front-ends over one worker
-//! pool.
+//! Daemon transports: stdio, TCP, and HTTP front-ends over one request
+//! core.
 //!
-//! The line transports share the same shape: a reader parses request
-//! lines, control ops (`ping`, `stats`, `shutdown`) are answered
-//! inline, and submissions are pushed onto the bounded admission
-//! queue. Worker threads — each with the service's collector installed
-//! as its observability recorder — pop jobs and run
-//! [`Service::process_submit`], streaming events back through the
-//! submitting connection's shared writer. The HTTP front end
-//! ([`crate::http`]) rides the same [`Server`]: its submit handler
-//! admits through the same queue and collects the same event stream.
+//! Every transport parses with [`protocol::parse_value`] and hands each
+//! submission to `Server::admit`, which pushes a job onto the
+//! bounded admission queue. A job carries its event sink: the submitting
+//! line connection's shared writer, or the channel an HTTP handler is
+//! waiting on. Worker threads — each with the service's collector
+//! installed as its observability recorder — pop jobs, run
+//! [`Service::process_submit`], and send every event to the job's sink.
+//! Control ops (`ping`, `stats`, `shutdown`) are answered inline by the
+//! line reader.
 //!
 //! Backpressure is the queue itself: when it is full, admission fails
 //! *immediately* with a `busy` error rather than buffering without
 //! bound — and the refusal carries a deterministic `retry_after_ms`
 //! hint scaled with queue occupancy, so polite clients spread their
-//! retries instead of stampeding.
+//! retries instead of stampeding. This holds for every submission,
+//! each element of an HTTP batch included.
 //!
 //! TCP connections are defended, not trusted: frames are read through
 //! [`crate::net::LineReader`] under the configured read timeout (a
@@ -38,11 +39,11 @@ use crate::protocol::{self, ErrorKind, Request, SubmitRequest, WireError};
 use crate::queue::{Bounded, PushError};
 use crate::service::{ServeConfig, Service};
 use parchmint_obs::Recorder;
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -50,10 +51,33 @@ use std::time::{Duration, Instant};
 /// responses) and the workers (streamed submission events).
 pub type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
+/// Where one submission's events go.
+pub(crate) enum Sink {
+    /// A line transport's writer: each event becomes one line.
+    Line(SharedWriter),
+    /// An HTTP handler's channel. The handler reads until every sender
+    /// is gone, so dropping the job — when it finishes, or when its
+    /// worker unwinds mid-job — ends the handler's wait.
+    Channel(mpsc::Sender<Value>),
+}
+
+impl Sink {
+    /// Delivers one event. A vanished receiver is ignored, like a
+    /// vanished line client.
+    pub(crate) fn send(&self, event: Value) {
+        match self {
+            Sink::Line(out) => write_event(out, &event),
+            Sink::Channel(events) => {
+                let _ = events.send(event);
+            }
+        }
+    }
+}
+
 /// One admitted submission waiting for a worker.
 struct Job {
     request: Box<SubmitRequest>,
-    out: SharedWriter,
+    sink: Sink,
     /// The submitting connection's in-flight count; decremented when
     /// the job finishes (or its worker dies), so the connection loop
     /// can tell a quietly-waiting client from an abandoned one.
@@ -93,7 +117,8 @@ fn write_event(out: &SharedWriter, event: &Value) {
 }
 
 /// The daemon: service semantics plus queue, workers, and shutdown
-/// state. Transports drive it through [`Server::handle_line`].
+/// state. Line transports drive it through [`Server::handle_line`],
+/// the HTTP front end through `Server::admit`.
 pub struct Server {
     service: Arc<Service>,
     queue: Arc<Bounded<Job>>,
@@ -120,8 +145,9 @@ fn spawn_worker(server: &Arc<Server>, index: usize) -> JoinHandle<()> {
                     break;
                 };
                 let _in_flight = InFlightGuard(job.tracker.clone());
-                let mut emit = |event: Value| write_event(&job.out, &event);
-                server.service.process_submit(&job.request, &mut emit);
+                server
+                    .service
+                    .process_submit(&job.request, &mut |event| job.sink.send(event));
             });
             guard.armed = false;
         })
@@ -175,8 +201,8 @@ impl Server {
         (0..count).map(|index| spawn_worker(self, index)).collect()
     }
 
-    /// The service this server fronts (the HTTP transport uses it for
-    /// config and the batch fan-out).
+    /// The service this server fronts (the HTTP transport reads its
+    /// config and collector).
     pub(crate) fn service(&self) -> &Service {
         &self.service
     }
@@ -197,32 +223,22 @@ impl Server {
     /// queue and worker facts.
     pub fn stats_json(&self) -> Value {
         let mut stats = self.service.stats_json();
-        if let Some(object) = stats.as_object_mut() {
-            let mut queue = serde_json::Map::new();
-            queue.insert("capacity".to_string(), Value::from(self.queue.capacity()));
-            queue.insert("depth".to_string(), Value::from(self.queue.depth()));
-            object.insert("queue".to_string(), Value::Object(queue));
-            object.insert(
-                "workers".to_string(),
-                Value::from(self.service.config().effective_workers()),
-            );
-            object.insert(
-                "workers_respawned".to_string(),
-                Value::from(self.service.worker_respawns()),
-            );
+        let facts = json!({
+            "queue": { "capacity": self.queue.capacity(), "depth": self.queue.depth() },
+            "workers": self.service.config().effective_workers(),
+            "workers_respawned": self.service.worker_respawns(),
+        });
+        if let (Some(object), Value::Object(facts)) = (stats.as_object_mut(), facts) {
+            object.extend(facts);
         }
         stats
     }
 
     /// Handles one request line from a connection writing to `out`.
-    pub fn handle_line(&self, line: &str, out: &SharedWriter) -> LineOutcome {
-        self.handle_line_tracked(line, out, None)
-    }
-
-    /// [`Server::handle_line`] with the connection's in-flight tracker,
-    /// bumped for every admitted submission so the connection loop can
-    /// distinguish waiting clients from idle ones.
-    pub(crate) fn handle_line_tracked(
+    /// `tracker` is the connection's in-flight count, bumped for every
+    /// admitted submission so the connection loop can tell waiting
+    /// clients from idle ones.
+    pub fn handle_line(
         &self,
         line: &str,
         out: &SharedWriter,
@@ -246,25 +262,25 @@ impl Server {
                 self.begin_shutdown();
                 return LineOutcome::Shutdown;
             }
-            Request::Submit(request) => self.admit(request, out, tracker),
+            Request::Submit(request) => self.admit(request, Sink::Line(Arc::clone(out)), tracker),
         }
         LineOutcome::Continue
     }
 
-    /// Admission control: queue the job or refuse with `busy` /
-    /// `shutting_down`, never blocking the reader. The refusal is
-    /// written through `out`, so callers only ever wait on the event
-    /// stream; a `busy` refusal carries the queue's deterministic
-    /// `retry_after_ms` hint.
+    /// Admission control, the one entry for every submission: queue the
+    /// job or refuse with `busy` / `shutting_down`, never blocking the
+    /// caller. A refusal is sent through `sink` and the sink dropped, so
+    /// callers only ever wait on the event stream; a `busy` refusal
+    /// carries the queue's deterministic `retry_after_ms` hint.
     pub(crate) fn admit(
         &self,
         request: Box<SubmitRequest>,
-        out: &SharedWriter,
+        sink: Sink,
         tracker: Option<&Arc<AtomicUsize>>,
     ) {
         let draining = WireError::new(ErrorKind::ShuttingDown, "daemon is draining");
         if self.is_shutting_down() {
-            write_event(out, &protocol::error_event(&request.id, &draining));
+            sink.send(protocol::error_event(&request.id, &draining));
             return;
         }
         if let Some(tracker) = tracker {
@@ -272,13 +288,12 @@ impl Server {
         }
         let job = Job {
             request,
-            out: Arc::clone(out),
+            sink,
             tracker: tracker.map(Arc::clone),
         };
-        match self.queue.try_push(job) {
-            Ok(()) => {}
+        let (job, refusal) = match self.queue.try_push(job) {
+            Ok(()) => return,
             Err((job, PushError::Full)) => {
-                drop(InFlightGuard(job.tracker));
                 self.service.count_rejected();
                 parchmint_obs::count("serve.net.shed", 1);
                 let busy = WireError::new(
@@ -286,13 +301,13 @@ impl Server {
                     format!("admission queue full (capacity {})", self.queue.capacity()),
                 )
                 .with_retry_after_ms(self.queue.retry_after_hint_ms());
-                write_event(out, &protocol::error_event(&job.request.id, &busy));
+                (job, busy)
             }
-            Err((job, PushError::Closed)) => {
-                drop(InFlightGuard(job.tracker));
-                write_event(out, &protocol::error_event(&job.request.id, &draining));
-            }
-        }
+            Err((job, PushError::Closed)) => (job, draining),
+        };
+        drop(InFlightGuard(job.tracker));
+        job.sink
+            .send(protocol::error_event(&job.request.id, &refusal));
     }
 }
 
@@ -306,7 +321,7 @@ fn stdio_loop(server: &Arc<Server>) -> io::Result<()> {
         if line.trim().is_empty() {
             continue;
         }
-        if server.handle_line(&line, &out) == LineOutcome::Shutdown {
+        if server.handle_line(&line, &out, None) == LineOutcome::Shutdown {
             break;
         }
     }
@@ -355,8 +370,7 @@ fn line_connection(server: &Arc<Server>, stream: TcpStream, local: std::net::Soc
                     continue;
                 }
                 parchmint_obs::count("serve.net.frames", 1);
-                if server.handle_line_tracked(&line, &out, Some(&tracker)) == LineOutcome::Shutdown
-                {
+                if server.handle_line(&line, &out, Some(&tracker)) == LineOutcome::Shutdown {
                     // Unblock the accept loop so it can observe shutdown.
                     let _ = TcpStream::connect(local);
                     break;
@@ -502,12 +516,6 @@ pub fn serve(
     result
 }
 
-/// Runs the daemon over stdin/stdout until EOF or a `shutdown`
-/// request, then drains admitted work and joins the workers.
-pub fn serve_stdio(service: Arc<Service>) -> io::Result<()> {
-    serve(service, None, None)
-}
-
 /// Runs the daemon over `listener` until some connection sends
 /// `shutdown`, then drains admitted work and joins the workers.
 pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> io::Result<()> {
@@ -580,15 +588,15 @@ mod tests {
         let server = Arc::new(Server::new(Arc::new(Service::new(ServeConfig::default()))));
         let (out, buffer) = capture();
         assert_eq!(
-            server.handle_line(r#"{"op":"ping","id":"p"}"#, &out),
+            server.handle_line(r#"{"op":"ping","id":"p"}"#, &out, None),
             LineOutcome::Continue
         );
         assert_eq!(
-            server.handle_line(r#"{"op":"stats","id":"s"}"#, &out),
+            server.handle_line(r#"{"op":"stats","id":"s"}"#, &out, None),
             LineOutcome::Continue
         );
         assert_eq!(
-            server.handle_line(r#"{"op":"shutdown"}"#, &out),
+            server.handle_line(r#"{"op":"shutdown"}"#, &out, None),
             LineOutcome::Shutdown
         );
         let events = lines(&buffer);
@@ -608,8 +616,8 @@ mod tests {
         let server = Arc::new(Server::new(Arc::new(Service::new(config))));
         let (out, buffer) = capture();
         let submit = r#"{"op":"submit","id":"a","benchmark":"logic_gate_or"}"#;
-        server.handle_line(submit, &out);
-        server.handle_line(submit, &out);
+        server.handle_line(submit, &out, None);
+        server.handle_line(submit, &out, None);
         let events = lines(&buffer);
         assert_eq!(events.len(), 1, "only the refusal responds inline");
         assert_eq!(events[0]["error"]["kind"], Value::from("busy"));
@@ -632,6 +640,7 @@ mod tests {
         server.handle_line(
             r#"{"op":"submit","id":"late","benchmark":"logic_gate_or"}"#,
             &out,
+            None,
         );
         let events = lines(&buffer);
         assert_eq!(events[0]["error"]["kind"], Value::from("shutting_down"));
@@ -658,6 +667,7 @@ mod tests {
         server.handle_line(
             r#"{"op":"submit","id":"boom","benchmark":"logic_gate_or"}"#,
             &poisoned,
+            None,
         );
         let deadline = Instant::now() + Duration::from_secs(30);
         while server.service.worker_respawns() == 0 {
@@ -671,6 +681,7 @@ mod tests {
         server.handle_line(
             r#"{"op":"submit","id":"after","benchmark":"logic_gate_or"}"#,
             &out,
+            None,
         );
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {

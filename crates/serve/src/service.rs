@@ -35,7 +35,7 @@ use parchmint::{CompiledDevice, Device};
 use parchmint_harness::{engine, stage_matches, standard_stages, ExecPolicy, Stage, StageExec};
 use parchmint_obs::Collector;
 use parchmint_resilience::FaultPlan;
-use serde_json::{Map, Value};
+use serde_json::{json, Map, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,10 +79,20 @@ fn effective_timeout(configured: Option<u64>, default_ms: u64) -> Option<Duratio
     }
 }
 
+/// Resolves a size knob: `0` = the default, anything else verbatim.
+fn effective_size(configured: usize, default: usize) -> usize {
+    if configured > 0 {
+        configured
+    } else {
+        default
+    }
+}
+
 /// Daemon configuration: execution defaults, cache limits, and
-/// transport endpoints. Opaque — build one with
-/// [`ServeConfig::builder`].
-#[derive(Debug, Clone, Default)]
+/// transport endpoints, with every default already resolved. Opaque —
+/// build one with [`ServeConfig::builder`]; [`ServeConfig::default`]
+/// is `builder().build()`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     workers: usize,
     queue_capacity: usize,
@@ -94,28 +104,22 @@ pub struct ServeConfig {
     tcp: Option<String>,
     http: Option<String>,
     http_max_body: usize,
-    read_timeout_ms: Option<u64>,
-    write_timeout_ms: Option<u64>,
-    idle_timeout_ms: Option<u64>,
+    read_timeout: Option<Duration>,
+    write_timeout: Option<Duration>,
+    idle_timeout: Option<Duration>,
     line_max_bytes: usize,
+}
+
+impl Default for ServeConfig {
+    fn default() -> ServeConfig {
+        ServeConfig::builder().build()
+    }
 }
 
 impl ServeConfig {
     /// Starts a builder holding the default configuration.
     pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            config: ServeConfig::default(),
-        }
-    }
-
-    /// Worker threads; `0` means one per available core.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Admission-queue capacity; `0` means [`DEFAULT_QUEUE_CAPACITY`].
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
+        ServeConfigBuilder::default()
     }
 
     /// Default per-attempt deadline applied when a submission names none.
@@ -155,185 +159,173 @@ impl ServeConfig {
         self.http.as_deref()
     }
 
-    /// HTTP request-body cap in bytes; `0` means
-    /// [`DEFAULT_HTTP_MAX_BODY`].
-    pub fn http_max_body(&self) -> usize {
+    /// The HTTP request-body cap in bytes.
+    pub fn effective_http_max_body(&self) -> usize {
         self.http_max_body
     }
 
-    /// The effective HTTP request-body cap.
-    pub fn effective_http_max_body(&self) -> usize {
-        if self.http_max_body > 0 {
-            self.http_max_body
-        } else {
-            DEFAULT_HTTP_MAX_BODY
-        }
+    /// The partial-frame read timeout (`None` = disabled).
+    pub fn effective_read_timeout(&self) -> Option<Duration> {
+        self.read_timeout
     }
 
-    /// Configured read timeout in milliseconds; `None` means
-    /// [`DEFAULT_READ_TIMEOUT_MS`], `Some(0)` disables it.
-    pub fn read_timeout_ms(&self) -> Option<u64> {
-        self.read_timeout_ms
+    /// The socket write timeout (`None` = disabled).
+    pub fn effective_write_timeout(&self) -> Option<Duration> {
+        self.write_timeout
     }
 
-    /// Configured write timeout in milliseconds; `None` means
-    /// [`DEFAULT_WRITE_TIMEOUT_MS`], `Some(0)` disables it.
-    pub fn write_timeout_ms(&self) -> Option<u64> {
-        self.write_timeout_ms
+    /// The keep-alive idle timeout (`None` = disabled).
+    pub fn effective_idle_timeout(&self) -> Option<Duration> {
+        self.idle_timeout
     }
 
-    /// Configured keep-alive idle timeout in milliseconds; `None`
-    /// means [`DEFAULT_IDLE_TIMEOUT_MS`], `Some(0)` disables it.
-    pub fn idle_timeout_ms(&self) -> Option<u64> {
-        self.idle_timeout_ms
-    }
-
-    /// Configured line-frame cap in bytes; `0` means
-    /// [`DEFAULT_LINE_MAX_BYTES`].
-    pub fn line_max_bytes(&self) -> usize {
+    /// The line-frame byte cap.
+    pub fn effective_line_max_bytes(&self) -> usize {
         self.line_max_bytes
     }
 
-    /// The effective partial-frame read timeout (`None` = disabled).
-    pub fn effective_read_timeout(&self) -> Option<Duration> {
-        effective_timeout(self.read_timeout_ms, DEFAULT_READ_TIMEOUT_MS)
-    }
-
-    /// The effective socket write timeout (`None` = disabled).
-    pub fn effective_write_timeout(&self) -> Option<Duration> {
-        effective_timeout(self.write_timeout_ms, DEFAULT_WRITE_TIMEOUT_MS)
-    }
-
-    /// The effective keep-alive idle timeout (`None` = disabled).
-    pub fn effective_idle_timeout(&self) -> Option<Duration> {
-        effective_timeout(self.idle_timeout_ms, DEFAULT_IDLE_TIMEOUT_MS)
-    }
-
-    /// The effective line-frame byte cap.
-    pub fn effective_line_max_bytes(&self) -> usize {
-        if self.line_max_bytes > 0 {
-            self.line_max_bytes
-        } else {
-            DEFAULT_LINE_MAX_BYTES
-        }
-    }
-
-    /// The effective worker count.
+    /// The worker-thread count.
     pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        self.workers
     }
 
-    /// The effective admission-queue capacity.
+    /// The admission-queue capacity.
     pub fn effective_queue_capacity(&self) -> usize {
-        if self.queue_capacity > 0 {
-            self.queue_capacity
-        } else {
-            DEFAULT_QUEUE_CAPACITY
-        }
+        self.queue_capacity
     }
 }
 
-/// Builder for [`ServeConfig`].
+/// Builder for [`ServeConfig`]. Holds the settings as given — `0` or
+/// unset meaning "the default" — until [`ServeConfigBuilder::build`]
+/// resolves them.
 #[derive(Debug, Clone, Default)]
 pub struct ServeConfigBuilder {
-    config: ServeConfig,
+    workers: usize,
+    queue_capacity: usize,
+    deadline: Option<Duration>,
+    fuel: Option<u64>,
+    faults: Option<FaultPlan>,
+    cache_bytes: Option<u64>,
+    cache_dir: Option<PathBuf>,
+    tcp: Option<String>,
+    http: Option<String>,
+    http_max_body: usize,
+    read_timeout_ms: Option<u64>,
+    write_timeout_ms: Option<u64>,
+    idle_timeout_ms: Option<u64>,
+    line_max_bytes: usize,
 }
 
 impl ServeConfigBuilder {
     /// Sets the worker-thread count (`0` = one per core).
     pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
+        self.workers = workers;
         self
     }
 
-    /// Sets the admission-queue capacity (`0` = the default).
+    /// Sets the admission-queue capacity (`0` =
+    /// [`DEFAULT_QUEUE_CAPACITY`]).
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
+        self.queue_capacity = capacity;
         self
     }
 
     /// Sets the default per-attempt deadline.
     pub fn deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.config.deadline = deadline;
+        self.deadline = deadline;
         self
     }
 
     /// Sets the default per-attempt fuel budget.
     pub fn fuel(mut self, fuel: Option<u64>) -> Self {
-        self.config.fuel = fuel;
+        self.fuel = fuel;
         self
     }
 
     /// Arms a fault plan for matching designs.
     pub fn faults(mut self, faults: Option<FaultPlan>) -> Self {
-        self.config.faults = faults;
+        self.faults = faults;
         self
     }
 
     /// Budgets the memory cache tier in approximate bytes.
     pub fn cache_bytes(mut self, bytes: u64) -> Self {
-        self.config.cache_bytes = Some(bytes);
+        self.cache_bytes = Some(bytes);
         self
     }
 
     /// Enables the disk-spill tier rooted at `dir`.
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.cache_dir = Some(dir.into());
+        self.cache_dir = Some(dir.into());
         self
     }
 
     /// Serves the line-JSON protocol on a TCP address instead of stdio.
     pub fn tcp(mut self, addr: impl Into<String>) -> Self {
-        self.config.tcp = Some(addr.into());
+        self.tcp = Some(addr.into());
         self
     }
 
     /// Serves the HTTP/1.1 front end on a TCP address.
     pub fn http(mut self, addr: impl Into<String>) -> Self {
-        self.config.http = Some(addr.into());
+        self.http = Some(addr.into());
         self
     }
 
-    /// Caps HTTP request bodies at `bytes` (`0` = the default).
+    /// Caps HTTP request bodies at `bytes` (`0` =
+    /// [`DEFAULT_HTTP_MAX_BODY`]).
     pub fn http_max_body(mut self, bytes: usize) -> Self {
-        self.config.http_max_body = bytes;
+        self.http_max_body = bytes;
         self
     }
 
     /// Sets the partial-frame read timeout in milliseconds (`0` =
-    /// disabled).
+    /// disabled; unset = [`DEFAULT_READ_TIMEOUT_MS`]).
     pub fn read_timeout_ms(mut self, ms: u64) -> Self {
-        self.config.read_timeout_ms = Some(ms);
+        self.read_timeout_ms = Some(ms);
         self
     }
 
-    /// Sets the socket write timeout in milliseconds (`0` = disabled).
+    /// Sets the socket write timeout in milliseconds (`0` = disabled;
+    /// unset = [`DEFAULT_WRITE_TIMEOUT_MS`]).
     pub fn write_timeout_ms(mut self, ms: u64) -> Self {
-        self.config.write_timeout_ms = Some(ms);
+        self.write_timeout_ms = Some(ms);
         self
     }
 
     /// Sets the keep-alive idle timeout in milliseconds (`0` =
-    /// disabled).
+    /// disabled; unset = [`DEFAULT_IDLE_TIMEOUT_MS`]).
     pub fn idle_timeout_ms(mut self, ms: u64) -> Self {
-        self.config.idle_timeout_ms = Some(ms);
+        self.idle_timeout_ms = Some(ms);
         self
     }
 
-    /// Caps line-protocol frames at `bytes` (`0` = the default).
+    /// Caps line-protocol frames at `bytes` (`0` =
+    /// [`DEFAULT_LINE_MAX_BYTES`]).
     pub fn line_max_bytes(mut self, bytes: usize) -> Self {
-        self.config.line_max_bytes = bytes;
+        self.line_max_bytes = bytes;
         self
     }
 
-    /// Finishes the configuration.
+    /// Finishes the configuration, resolving every default.
     pub fn build(self) -> ServeConfig {
-        self.config
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        ServeConfig {
+            workers: effective_size(self.workers, cores),
+            queue_capacity: effective_size(self.queue_capacity, DEFAULT_QUEUE_CAPACITY),
+            deadline: self.deadline,
+            fuel: self.fuel,
+            faults: self.faults,
+            cache_bytes: self.cache_bytes,
+            cache_dir: self.cache_dir,
+            tcp: self.tcp,
+            http: self.http,
+            http_max_body: effective_size(self.http_max_body, DEFAULT_HTTP_MAX_BODY),
+            read_timeout: effective_timeout(self.read_timeout_ms, DEFAULT_READ_TIMEOUT_MS),
+            write_timeout: effective_timeout(self.write_timeout_ms, DEFAULT_WRITE_TIMEOUT_MS),
+            idle_timeout: effective_timeout(self.idle_timeout_ms, DEFAULT_IDLE_TIMEOUT_MS),
+            line_max_bytes: effective_size(self.line_max_bytes, DEFAULT_LINE_MAX_BYTES),
+        }
     }
 }
 
@@ -507,28 +499,6 @@ impl Service {
         self.run_submission(request, emit);
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Runs many submissions as one sharded fan-out, returning each
-    /// request's full event list, in request order.
-    ///
-    /// Requests are chunked across the configured worker width (the
-    /// same count the daemon's queue workers use) on a scoped pool, and
-    /// every one runs the full [`Service::process_submit`] path —
-    /// including the single-flight tables, so duplicate designs in one
-    /// batch coalesce onto a single compile and a single stage
-    /// execution exactly like concurrent connections would. Each shard
-    /// installs the service collector, so observability counters from
-    /// batch work aggregate into `stats` like worker-pool traffic.
-    pub fn process_submit_batch(&self, requests: &[SubmitRequest]) -> Vec<Vec<Value>> {
-        parchmint_harness::shard_map(requests, self.config.effective_workers(), |_, request| {
-            let recorder: Arc<dyn parchmint_obs::Recorder> = self.collector();
-            parchmint_obs::with_recorder(recorder, || {
-                let mut events = Vec::new();
-                self.process_submit(request, &mut |event| events.push(event));
-                events
-            })
-        })
     }
 
     fn run_submission(&self, request: &SubmitRequest, emit: &mut dyn FnMut(Value)) {
@@ -775,58 +745,27 @@ impl Service {
     /// counters, cache tiers, and the aggregated observability counters
     /// workers recorded.
     pub fn stats_json(&self) -> Value {
-        let mut object = Map::new();
-        object.insert(
-            "schema".to_string(),
-            Value::from("parchmint-serve-stats/v2"),
-        );
-        let mut proto = Map::new();
-        proto.insert("negotiated".to_string(), Value::from(PROTO));
-        proto.insert(
-            "supported_majors".to_string(),
-            Value::Array(vec![Value::from(PROTO_MAJOR)]),
-        );
-        object.insert("proto".to_string(), Value::Object(proto));
-        let mut requests = Map::new();
-        requests.insert(
-            "submitted".to_string(),
-            Value::from(self.submitted.load(Ordering::Relaxed)),
-        );
-        requests.insert(
-            "completed".to_string(),
-            Value::from(self.completed.load(Ordering::Relaxed)),
-        );
-        requests.insert(
-            "rejected".to_string(),
-            Value::from(self.rejected.load(Ordering::Relaxed)),
-        );
-        requests.insert(
-            "in_flight".to_string(),
-            Value::from(self.in_flight.load(Ordering::Relaxed)),
-        );
-        requests.insert(
-            "peak_in_flight".to_string(),
-            Value::from(self.peak_in_flight.load(Ordering::Relaxed)),
-        );
-        object.insert("requests".to_string(), Value::Object(requests));
-        object.insert("cache".to_string(), self.cache.stats_json());
-        let mut flights = Map::new();
-        flights.insert(
-            "compiles".to_string(),
-            Value::from(self.compile_flights.in_flight()),
-        );
-        flights.insert(
-            "stages".to_string(),
-            Value::from(self.stage_flights.in_flight()),
-        );
-        object.insert("flights".to_string(), Value::Object(flights));
-        let summary = self.collector.summary();
-        let mut counters = Map::new();
-        for (name, total) in &summary.counters {
-            counters.insert((*name).to_string(), Value::from(*total));
-        }
-        object.insert("counters".to_string(), Value::Object(counters));
-        Value::Object(object)
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let counters: Map = (self.collector.summary().counters.iter())
+            .map(|(name, total)| (name.to_string(), Value::from(*total)))
+            .collect();
+        json!({
+            "schema": "parchmint-serve-stats/v2",
+            "proto": { "negotiated": PROTO, "supported_majors": [PROTO_MAJOR] },
+            "requests": {
+                "submitted": load(&self.submitted),
+                "completed": load(&self.completed),
+                "rejected": load(&self.rejected),
+                "in_flight": load(&self.in_flight),
+                "peak_in_flight": load(&self.peak_in_flight),
+            },
+            "cache": self.cache.stats_json(),
+            "flights": {
+                "compiles": self.compile_flights.in_flight(),
+                "stages": self.stage_flights.in_flight(),
+            },
+            "counters": counters,
+        })
     }
 }
 
@@ -868,6 +807,25 @@ mod tests {
         events
     }
 
+    /// Runs `elements` as one `POST /v1/submit` batch on an in-process
+    /// server with `workers` workers, and returns every slot's final
+    /// event plus the stats once the pool has drained.
+    fn batch_of(workers: usize, elements: Vec<Value>) -> (Vec<Value>, Value) {
+        let config = ServeConfig::builder().workers(workers).build();
+        let server = Arc::new(crate::server::Server::new(Arc::new(Service::new(config))));
+        let pool = server.start_workers();
+        let body = Value::Array(elements).to_string();
+        let (status, reply) = crate::http::handle_submit(&server, &body);
+        server.begin_shutdown();
+        pool.into_iter()
+            .for_each(|worker| worker.join().expect("join"));
+        assert_eq!(status, 200, "{reply}");
+        let slots = reply["results"].as_array().expect("results");
+        let last = |slot: &Value| slot["events"].as_array().and_then(|e| e.last()).cloned();
+        let finals = slots.iter().map(|slot| last(slot).expect("event"));
+        (finals.collect(), server.stats_json())
+    }
+
     #[test]
     fn config_builder_round_trips() {
         let config = ServeConfig::builder()
@@ -885,10 +843,8 @@ mod tests {
             .idle_timeout_ms(7000)
             .line_max_bytes(4 << 10)
             .build();
-        assert_eq!(config.workers(), 3);
-        assert_eq!(config.http_max_body(), 1 << 10);
+        assert_eq!(config.effective_workers(), 3);
         assert_eq!(config.effective_http_max_body(), 1 << 10);
-        assert_eq!(config.queue_capacity(), 9);
         assert_eq!(config.effective_queue_capacity(), 9);
         assert_eq!(config.deadline(), Some(Duration::from_millis(5)));
         assert_eq!(config.fuel(), Some(100));
@@ -910,6 +866,8 @@ mod tests {
         );
         assert_eq!(config.effective_line_max_bytes(), 4 << 10);
         let defaults = ServeConfig::default();
+        assert_eq!(defaults, ServeConfig::builder().build());
+        assert!(defaults.effective_workers() >= 1, "0 means one per core");
         assert_eq!(defaults.effective_queue_capacity(), DEFAULT_QUEUE_CAPACITY);
         assert_eq!(defaults.effective_http_max_body(), DEFAULT_HTTP_MAX_BODY);
         assert!(defaults.cache_bytes().is_none());
@@ -927,13 +885,11 @@ mod tests {
 
     #[test]
     fn batch_results_preserve_request_order() {
-        let service = Service::new(ServeConfig::default());
         let names = ["logic_gate_or", "logic_gate_and", "rotary_pump_mixer"];
-        let requests: Vec<SubmitRequest> = names.iter().map(|name| submit(name)).collect();
-        let results = service.process_submit_batch(&requests);
-        assert_eq!(results.len(), names.len());
-        for (events, name) in results.iter().zip(names) {
-            let done = events.last().expect("events");
+        let elements = names.map(|name| json!({ "benchmark": name, "stages": ["validate"] }));
+        let (finals, _) = batch_of(0, elements.to_vec());
+        assert_eq!(finals.len(), names.len());
+        for (done, name) in finals.iter().zip(names) {
             assert_eq!(done["event"], Value::from("done"));
             assert_eq!(done["design"], Value::from(name));
         }
@@ -941,26 +897,18 @@ mod tests {
 
     #[test]
     fn batch_submissions_coalesce_duplicate_designs() {
-        // Six identical submissions fanned out over four shards must
+        // Six identical batch elements spread over four workers must
         // compile and validate exactly once — the rest replay from the
         // cache or park behind the in-flight leader. This is the
-        // single-flight guarantee the batch path inherits.
-        let service = Service::new(ServeConfig::builder().workers(4).build());
-        let requests: Vec<SubmitRequest> = (0..6u64)
-            .map(|i| {
-                let mut request = submit("logic_gate_or");
-                request.id = Value::from(i);
-                request
-            })
-            .collect();
-        let results = service.process_submit_batch(&requests);
-        assert_eq!(results.len(), 6);
-        for (i, events) in results.iter().enumerate() {
-            let done = events.last().expect("events");
+        // single-flight guarantee every queued submission inherits.
+        let element =
+            |id| json!({ "id": id, "benchmark": "logic_gate_or", "stages": ["validate"] });
+        let (finals, stats) = batch_of(4, (0..6u64).map(element).collect());
+        assert_eq!(finals.len(), 6);
+        for (i, done) in finals.iter().enumerate() {
             assert_eq!(done["event"], Value::from("done"));
             assert_eq!(done["id"], Value::from(i as u64));
         }
-        let stats = service.stats_json();
         assert_eq!(stats["requests"]["submitted"], Value::from(6u64));
         assert_eq!(
             stats["counters"]["serve.compile.executed"],

@@ -11,11 +11,15 @@ use std::thread::JoinHandle;
 
 /// Starts a daemon with both transports; returns (tcp addr, http addr).
 fn start_daemon() -> (String, String, JoinHandle<()>) {
+    start_daemon_with(ServeConfig::builder().workers(2).build())
+}
+
+fn start_daemon_with(config: ServeConfig) -> (String, String, JoinHandle<()>) {
     let tcp = TcpListener::bind("127.0.0.1:0").expect("bind tcp");
     let http = TcpListener::bind("127.0.0.1:0").expect("bind http");
     let tcp_addr = tcp.local_addr().expect("tcp addr").to_string();
     let http_addr = http.local_addr().expect("http addr").to_string();
-    let service = Arc::new(Service::new(ServeConfig::builder().workers(2).build()));
+    let service = Arc::new(Service::new(config));
     let handle = std::thread::spawn(move || {
         serve(service, Some(tcp), Some(http)).expect("daemon runs");
     });
@@ -24,6 +28,12 @@ fn start_daemon() -> (String, String, JoinHandle<()>) {
 
 /// One plain HTTP/1.1 round trip on a fresh connection.
 fn roundtrip(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, Value) {
+    let (status, _head, payload) = exchange(addr, method, path, body);
+    (status, payload)
+}
+
+/// [`roundtrip`], also returning the response head.
+fn exchange(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, String, Value) {
     let mut stream = TcpStream::connect(addr).expect("connect http");
     let body = body.unwrap_or_default();
     let request = format!(
@@ -39,12 +49,9 @@ fn roundtrip(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, 
         .nth(1)
         .and_then(|s| s.parse().ok())
         .expect("status code");
-    let payload = response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .expect("header/body split");
+    let (head, payload) = response.split_once("\r\n\r\n").expect("header/body split");
     let payload: Value = serde_json::from_str(payload.trim()).expect("JSON body");
-    (status, payload)
+    (status, head.to_string(), payload)
 }
 
 #[test]
@@ -119,6 +126,102 @@ fn http_routes_and_status_codes_follow_the_taxonomy() {
     let mut client = Client::connect(&tcp_addr).expect("connect tcp");
     let stats = client.stats().expect("stats over tcp");
     assert_eq!(stats["cache"]["entries"].as_u64(), Some(1));
+    client.shutdown().expect("shutdown ack");
+    handle.join().expect("daemon exits");
+}
+
+/// The final event of every slot in a batch response, in slot order.
+fn batch_finals(body: &Value) -> Vec<Value> {
+    body["results"]
+        .as_array()
+        .expect("results array")
+        .iter()
+        .map(|slot| {
+            slot["events"]
+                .as_array()
+                .expect("events")
+                .last()
+                .expect("event")
+                .clone()
+        })
+        .collect()
+}
+
+fn counter(stats: &Value, name: &str) -> u64 {
+    stats["counters"][name].as_u64().unwrap_or(0)
+}
+
+#[test]
+fn http_batches_are_admitted_element_by_element_through_the_shared_queue() {
+    let (tcp_addr, http_addr, handle) = start_daemon();
+
+    // Results come back in element order; a malformed element fails
+    // only its own slot, and the batch answers with its status.
+    let batch = r#"[
+        {"id":0,"benchmark":"logic_gate_or","stages":["validate"]},
+        {"id":1,"benchmark":7},
+        {"id":2,"benchmark":"logic_gate_and","stages":["validate"]}
+    ]"#;
+    let (status, body) = roundtrip(&http_addr, "POST", "/v1/submit", Some(batch));
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(body["proto"].as_str(), Some("parchmint-serve/1"));
+    let finals = batch_finals(&body);
+    assert_eq!(finals.len(), 3);
+    for (slot, event) in finals.iter().enumerate() {
+        assert_eq!(event["id"], Value::from(slot), "slot order: {body}");
+    }
+    assert_eq!(finals[0]["design"].as_str(), Some("logic_gate_or"));
+    assert_eq!(finals[1]["error"]["kind"].as_str(), Some("bad_request"));
+    assert_eq!(finals[2]["design"].as_str(), Some("logic_gate_and"));
+
+    // Six identical elements compile once and execute the stage once;
+    // the other five replay it.
+    let (_, before) = roundtrip(&http_addr, "GET", "/v1/stats", None);
+    let element = r#"{"benchmark":"rotary_pump_mixer","stages":["validate"]}"#;
+    let batch = format!("[{}]", [element; 6].join(","));
+    let (status, body) = roundtrip(&http_addr, "POST", "/v1/submit", Some(&batch));
+    assert_eq!(status, 200, "{body}");
+    assert!(batch_finals(&body)
+        .iter()
+        .all(|event| event["event"] == "done"));
+    let (_, after) = roundtrip(&http_addr, "GET", "/v1/stats", None);
+    let delta = |name: &str| counter(&after, name) - counter(&before, name);
+    assert_eq!(delta("serve.compile.executed"), 1);
+    assert_eq!(delta("serve.stage.executed"), 1);
+    assert_eq!(delta("serve.stage.replayed"), 5);
+
+    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    client.shutdown().expect("shutdown ack");
+    handle.join().expect("daemon exits");
+
+    // One worker and one queue slot: a batch of fuel-bounded elements
+    // (never cache hits) overflows the queue, and the overflow comes
+    // back `busy` with a retry hint, exactly as for a line submit. Each
+    // job generates, compiles and validates a ~192-component design,
+    // far longer than admitting the next element takes.
+    let config = ServeConfig::builder().workers(1).queue_capacity(1).build();
+    let (tcp_addr, http_addr, handle) = start_daemon_with(config);
+    let element =
+        r#"{"benchmark":"planar_synthetic_5","stages":["validate"],"fuel":1000000000000}"#;
+    let batch = format!("[{}]", [element; 8].join(","));
+    let (status, head, body) = exchange(&http_addr, "POST", "/v1/submit", Some(&batch));
+    let finals = batch_finals(&body);
+    assert_eq!(finals.len(), 8);
+    let busy = finals
+        .iter()
+        .filter(|event| event["error"]["kind"] == "busy")
+        .inspect(|event| assert!(event["error"]["retry_after_ms"].as_u64().is_some()))
+        .count();
+    assert!(busy >= 1, "a full queue must refuse some element: {body}");
+    let done = finals
+        .iter()
+        .filter(|event| event["event"] == "done")
+        .count();
+    assert_eq!(busy + done, 8, "every other slot finishes: {body}");
+    assert_eq!(status, 503, "{body}");
+    assert!(head.contains("\r\nRetry-After: "), "{head}");
+
+    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
     client.shutdown().expect("shutdown ack");
     handle.join().expect("daemon exits");
 }
