@@ -8,8 +8,10 @@
 #      baseline — the same artifact `suite-run` is gated on,
 #   3. a warm resubmission replays 100% from the memory tier (zero new
 #      compiles),
-#   4. the HTTP front end answers healthz/submit/stats, and a batch
-#      body comes back slot by slot in element order,
+#   4. the HTTP front end answers healthz/submit/stats, a batch body
+#      comes back slot by slot in element order, and a design sent
+#      pretty-printed with its members shuffled gets the compact copy's
+#      cache key,
 #   5. the daemon drains cleanly on shutdown, and
 #   6. a *restarted* daemon over the same --cache-dir serves the whole
 #      suite from the disk spill tier — byte-identical again, zero
@@ -29,7 +31,8 @@ cd "$(dirname "$0")/.."
 BASELINE=ci/baseline-report.json
 WORKERS="${SERVE_WORKERS:-8}"
 CACHE_DIR=$(mktemp -d -t parchmint-smoke-spill.XXXXXX)
-trap 'kill "${DAEMON:-}" 2>/dev/null || true; rm -rf "$CACHE_DIR"' EXIT
+BODIES=$(mktemp -d -t parchmint-smoke-bodies.XXXXXX)
+trap 'kill "${DAEMON:-}" 2>/dev/null || true; rm -rf "$CACHE_DIR" "$BODIES"' EXIT
 
 cargo build --release -p parchmint-cli
 
@@ -133,6 +136,7 @@ compiles = (warm["counters"].get("serve.compile.executed", 0)
             - cold["counters"].get("serve.compile.executed", 0))
 assert compiles == 0, f"warm pass must not compile: {compiles}"
 assert requests["rejected"] == 0, requests
+assert cache["collisions"] == 0, cache
 assert requests["peak_in_flight"] >= 8, (
     f"expected >= 8 concurrent in-flight requests: {requests}")
 print(f"warm pass replayed {cells} cells from {entries} cache entries "
@@ -162,7 +166,36 @@ assert finals[0]["key"] == finals[1]["key"], finals
 assert finals[2]["error"]["kind"] == "bad_request", finals
 assert status == "400", status
 EOF
-echo "http front end answered healthz, submit, batch, and stats"
+# One design, two layouts: compact, then pretty-printed with every
+# object's members reversed. Both must get one cache key, and the second
+# must be a cache hit.
+target/release/parchmint generate logic_gate_or | python3 -c '
+import json, sys
+design = json.load(sys.stdin)
+def reverse(value):
+    if isinstance(value, dict):
+        return {key: reverse(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [reverse(item) for item in value]
+    return value
+with open(sys.argv[1] + "/compact.json", "w") as f:
+    json.dump({"design": design, "stages": ["validate"]}, f, separators=(",", ":"))
+with open(sys.argv[1] + "/pretty.json", "w") as f:
+    json.dump({"stages": ["validate"], "design": reverse(design)}, f, indent=2)
+' "$BODIES"
+for layout in compact pretty; do
+  curl -fsS -X POST "http://$HTTP_ADDR/v1/submit" \
+    --data-binary @"$BODIES/$layout.json" > "$BODIES/$layout.reply"
+done
+python3 - "$BODIES" <<'EOF'
+import json, sys
+compact, pretty = (json.load(open(f"{sys.argv[1]}/{layout}.reply"))["events"][-1]
+                   for layout in ("compact", "pretty"))
+assert compact["event"] == pretty["event"] == "done", (compact, pretty)
+assert pretty["key"] == compact["key"], (compact, pretty)
+assert pretty["cached"] is True, pretty
+EOF
+echo "http front end answered healthz, submit, batch, layouts, and stats"
 
 # --- Phase 5: clean shutdown.
 shutdown_daemon
@@ -192,6 +225,7 @@ assert cache["stage_hits"] == cells, (
 assert counters.get("serve.compile.executed", 0) == 0, (
     f"spill-served resubmission must not recompile: {counters}")
 assert cache["spill_corrupt"] == 0, cache
+assert cache["collisions"] == 0, cache
 print(f"restarted daemon served {cache['entries']} designs "
       f"({cells} cells) from the spill tier with zero recompiles")
 EOF

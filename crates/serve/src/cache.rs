@@ -22,59 +22,74 @@
 //! degraded or injected results that must never be replayed for a
 //! clean request. The service enforces that; the cache itself is
 //! policy-free storage.
+//!
+//! Every entry keeps the canonical text of its design, and every path
+//! that hands an entry to a request — memory lookup, spill load, a
+//! single-flight leader's re-check — compares it with the request's.
+//! A key holding another design's text is a [`Lookup::Collision`]:
+//! counted as a miss and under `collisions`, and the request runs
+//! uncached.
 
 use crate::hash;
 use crate::spill::Spill;
 use parchmint::ir::CompiledDevice;
 use parchmint_harness::StageExec;
-use serde_json::{Map, Value};
+use serde_json::{json, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// One cached design: the canonical document, the (lazily
-/// re-materializable) compiled view, and per-stage results.
+/// One cached design: the canonical document text, the design's name,
+/// the (lazily re-materializable) compiled view, and per-stage results.
 pub struct CacheEntry {
-    doc: Value,
+    doc: String,
+    design: String,
     compile_wall: Duration,
     compiled: OnceLock<Arc<CompiledDevice>>,
     stages: Mutex<BTreeMap<String, StageExec>>,
+    /// Held by each spill write of this entry, in turn.
+    spill_turn: Mutex<()>,
 }
 
 impl CacheEntry {
-    /// A fresh entry holding a just-compiled artifact.
-    pub fn new(doc: Value, compiled: Arc<CompiledDevice>, compile_wall: Duration) -> CacheEntry {
-        let cell = OnceLock::new();
-        let _ = cell.set(compiled);
-        CacheEntry {
-            doc,
-            compile_wall,
-            compiled: cell,
-            stages: Mutex::new(BTreeMap::new()),
-        }
+    /// A fresh entry holding a just-compiled artifact of the canonical
+    /// document `doc`.
+    pub fn new(doc: String, compiled: Arc<CompiledDevice>, compile_wall: Duration) -> CacheEntry {
+        let design = compiled.device().name.clone();
+        let entry = CacheEntry::warm(doc, design, compile_wall, BTreeMap::new());
+        let _ = entry.compiled.set(compiled);
+        entry
     }
 
     /// An entry rehydrated from the spill tier: stage results are
     /// present, the compiled view is not (it re-materializes on
     /// demand via [`CacheEntry::materialize`]).
     pub fn warm(
-        doc: Value,
+        doc: String,
+        design: String,
         compile_wall: Duration,
         stages: BTreeMap<String, StageExec>,
     ) -> CacheEntry {
         CacheEntry {
             doc,
+            design,
             compile_wall,
             compiled: OnceLock::new(),
             stages: Mutex::new(stages),
+            spill_turn: Mutex::new(()),
         }
     }
 
     /// The canonical design document this entry was keyed from.
-    pub fn doc(&self) -> &Value {
+    pub fn doc(&self) -> &str {
         &self.doc
+    }
+
+    /// The design's name, as replayed events report it.
+    pub fn design(&self) -> &str {
+        &self.design
     }
 
     /// How long the original generate+compile took.
@@ -129,7 +144,7 @@ impl CacheEntry {
     /// charged: it is shared by reference and proportional to the
     /// document we do charge for.
     fn base_cost(&self) -> u64 {
-        128 + 3 * hash::canonical_string(&self.doc).len() as u64
+        128 + 3 * self.doc.len() as u64
     }
 
     fn total_cost(&self) -> u64 {
@@ -160,6 +175,17 @@ pub enum HitTier {
     Spill,
 }
 
+/// What probing the cache with one request's canonical document found.
+pub enum Lookup {
+    /// An entry holding exactly this document.
+    Hit(Arc<CacheEntry>, HitTier),
+    /// Nothing is stored under the key.
+    Miss,
+    /// The key holds another document's entry (an FNV-1a collision);
+    /// the request must run uncached.
+    Collision,
+}
+
 /// A snapshot of every cache counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
@@ -167,8 +193,11 @@ pub struct CacheCounters {
     pub memory_hits: u64,
     /// Lookups served by rehydrating a spill file.
     pub spill_hits: u64,
-    /// Lookups that found nothing in any tier.
+    /// Lookups that found nothing in any tier, or only another
+    /// design's entry.
     pub misses: u64,
+    /// Probes whose key held another design's entry.
+    pub collisions: u64,
     /// Stage cells replayed from a cached entry.
     pub stage_hits: u64,
     /// Stage cells that had to execute.
@@ -239,6 +268,7 @@ pub struct TieredCache {
     memory_hits: AtomicU64,
     spill_hits: AtomicU64,
     misses: AtomicU64,
+    collisions: AtomicU64,
     stage_hits: AtomicU64,
     stage_misses: AtomicU64,
     coalesced: AtomicU64,
@@ -268,6 +298,7 @@ impl TieredCache {
             memory_hits: AtomicU64::new(0),
             spill_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            collisions: AtomicU64::new(0),
             stage_hits: AtomicU64::new(0),
             stage_misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -286,61 +317,97 @@ impl TieredCache {
         self.spill.as_ref().map(Spill::dir)
     }
 
-    /// Looks up `key` through the tiers, counting exactly one of
-    /// memory-hit / spill-hit / miss.
-    pub fn lookup(&self, key: u64) -> Option<(Arc<CacheEntry>, HitTier)> {
-        {
-            let mut memory = self.memory.lock().expect("cache lock");
-            if let Some(slot) = memory.entries.get(&key) {
-                let entry = Arc::clone(&slot.entry);
-                memory.touch(key);
-                self.memory_hits.fetch_add(1, Ordering::Relaxed);
-                return Some((entry, HitTier::Memory));
-            }
-        }
-        if let Some(spill) = &self.spill {
-            if let Some(loaded) = spill.load(&hash::hex(key)) {
-                let entry = Arc::new(CacheEntry::warm(
-                    loaded.doc,
-                    loaded.compile_wall,
-                    loaded.stages,
-                ));
-                // Another thread may have raced the rehydration; whoever
-                // inserted first wins, exactly like a compile race.
-                let entry = self.insert_memory_only(key, entry);
-                self.spill_hits.fetch_add(1, Ordering::Relaxed);
-                return Some((entry, HitTier::Spill));
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+    /// Looks up the canonical document `doc` under `key` through the
+    /// tiers, counting exactly one of memory-hit / spill-hit / miss (a
+    /// collision counts as a miss).
+    pub fn lookup(&self, key: u64, doc: &str) -> Lookup {
+        let found = match self.peek(key, doc) {
+            Lookup::Miss => self.load_spill(key, doc),
+            resident => resident,
+        };
+        let counter = match &found {
+            Lookup::Hit(_, HitTier::Memory) => &self.memory_hits,
+            Lookup::Hit(_, HitTier::Spill) => &self.spill_hits,
+            Lookup::Miss | Lookup::Collision => &self.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// An uncounted, memory-only probe. Single-flight leaders use this
-    /// to re-check for a result published between their counted miss
-    /// and their promotion, without double-counting either way.
-    pub fn peek(&self, key: u64) -> Option<Arc<CacheEntry>> {
+    /// A memory-only probe that counts nothing but a collision.
+    /// Single-flight leaders use this to re-check for a result
+    /// published between their counted miss and their promotion,
+    /// without double-counting either way.
+    pub fn peek(&self, key: u64, doc: &str) -> Lookup {
         let mut memory = self.memory.lock().expect("cache lock");
-        let entry = memory.entries.get(&key).map(|s| Arc::clone(&s.entry))?;
+        let Some(slot) = memory.entries.get(&key) else {
+            return Lookup::Miss;
+        };
+        if slot.entry.doc != doc {
+            drop(memory);
+            return self.collision();
+        }
+        let entry = Arc::clone(&slot.entry);
         memory.touch(key);
-        Some(entry)
+        Lookup::Hit(entry, HitTier::Memory)
+    }
+
+    /// Rehydrates `key` from the spill tier into memory.
+    fn load_spill(&self, key: u64, doc: &str) -> Lookup {
+        let Some(loaded) = self.spill.as_ref().and_then(|s| s.load(&hash::hex(key))) else {
+            return Lookup::Miss;
+        };
+        if loaded.doc != doc {
+            return self.collision();
+        }
+        let entry = CacheEntry::warm(
+            loaded.doc,
+            loaded.design,
+            loaded.compile_wall,
+            loaded.stages,
+        );
+        // Another thread may have raced the rehydration; whoever
+        // inserted first wins, exactly like a compile race.
+        let (Ok(entry) | Err(entry)) = self.insert_memory_only(key, Arc::new(entry));
+        Lookup::Hit(entry, HitTier::Spill)
+    }
+
+    fn collision(&self) -> Lookup {
+        self.collisions.fetch_add(1, Ordering::Relaxed);
+        parchmint_obs::count("cache.collisions", 1);
+        Lookup::Collision
     }
 
     /// Inserts `entry` under `key` into both tiers. When two workers
     /// race to publish the same design, the first insert wins and both
     /// use it — the loser's artifact is discarded, never half-merged.
+    /// A key already holding another design's entry keeps it, and
+    /// `entry` comes back stored in neither tier.
     pub fn insert(&self, key: u64, entry: Arc<CacheEntry>) -> Arc<CacheEntry> {
-        let entry = self.insert_memory_only(key, entry);
-        self.spill_entry(key, &entry);
-        entry
+        match self.insert_memory_only(key, entry) {
+            Ok(resident) => {
+                self.spill_entry(key, &resident);
+                resident
+            }
+            Err(unstored) => unstored,
+        }
     }
 
-    fn insert_memory_only(&self, key: u64, entry: Arc<CacheEntry>) -> Arc<CacheEntry> {
+    /// The entry resident under `key` afterwards, or `Err(entry)` when
+    /// the key holds another design's entry.
+    fn insert_memory_only(
+        &self,
+        key: u64,
+        entry: Arc<CacheEntry>,
+    ) -> Result<Arc<CacheEntry>, Arc<CacheEntry>> {
         let mut memory = self.memory.lock().expect("cache lock");
         if let Some(slot) = memory.entries.get(&key) {
+            if slot.entry.doc != entry.doc {
+                return Err(entry);
+            }
             let existing = Arc::clone(&slot.entry);
             memory.touch(key);
-            return existing;
+            return Ok(existing);
         }
         let bytes = entry.total_cost();
         let tick = memory.next_tick;
@@ -356,12 +423,14 @@ impl TieredCache {
         memory.recency.insert(tick, key);
         memory.bytes += bytes;
         self.enforce_budget(&mut memory);
-        entry
+        Ok(entry)
     }
 
     /// Records the result of `stage` on `entry`: grows the entry's byte
     /// accounting (evicting if the budget overflows) and mirrors the
-    /// updated entry down to the spill tier.
+    /// updated entry down to the spill tier. Concurrent stores of one
+    /// entry spill in turn, each writing every stage stored so far, so
+    /// the file left last holds them all.
     pub fn store_stage(&self, key: u64, entry: &Arc<CacheEntry>, stage: &str, exec: &StageExec) {
         entry.store_stage(stage, exec);
         let delta = stage_cost(exec);
@@ -380,15 +449,21 @@ impl TieredCache {
         self.spill_entry(key, entry);
     }
 
-    fn spill_entry(&self, key: u64, entry: &Arc<CacheEntry>) {
-        if let Some(spill) = &self.spill {
-            spill.store(
-                &hash::hex(key),
-                entry.doc(),
-                entry.compile_wall(),
-                &entry.stages_snapshot(),
-            );
-        }
+    fn spill_entry(&self, key: u64, entry: &CacheEntry) {
+        let Some(spill) = &self.spill else {
+            return;
+        };
+        // The snapshot is taken on this writer's turn: a writer whose
+        // stage landed earlier has already written, or waits and writes
+        // after, with a snapshot that holds this stage too.
+        let _turn = entry.spill_turn.lock().expect("spill turn lock");
+        spill.store_document(
+            &hash::hex(key),
+            &entry.doc,
+            &entry.design,
+            entry.compile_wall,
+            &entry.stages_snapshot(),
+        );
     }
 
     fn enforce_budget(&self, memory: &mut MemoryTier) {
@@ -451,6 +526,7 @@ impl TieredCache {
             memory_hits: self.memory_hits.load(Ordering::Relaxed),
             spill_hits: self.spill_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            collisions: self.collisions.load(Ordering::Relaxed),
             stage_hits: self.stage_hits.load(Ordering::Relaxed),
             stage_misses: self.stage_misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
@@ -463,40 +539,22 @@ impl TieredCache {
     /// The cache section of the daemon's `stats` response.
     pub fn stats_json(&self) -> Value {
         let counters = self.counters();
-        let mut object = Map::new();
-        object.insert("entries".to_string(), Value::from(self.len()));
-        object.insert("bytes".to_string(), Value::from(self.bytes()));
-        object.insert(
-            "budget_bytes".to_string(),
-            self.budget.map_or(Value::Null, Value::from),
-        );
-        object.insert(
-            "spill_dir".to_string(),
-            self.spill_dir()
-                .map_or(Value::Null, |dir| Value::from(dir.display().to_string())),
-        );
-        object.insert("memory_hits".to_string(), Value::from(counters.memory_hits));
-        object.insert("spill_hits".to_string(), Value::from(counters.spill_hits));
-        object.insert("misses".to_string(), Value::from(counters.misses));
-        object.insert("stage_hits".to_string(), Value::from(counters.stage_hits));
-        object.insert(
-            "stage_misses".to_string(),
-            Value::from(counters.stage_misses),
-        );
-        object.insert("coalesced".to_string(), Value::from(counters.coalesced));
-        object.insert(
-            "evicted_entries".to_string(),
-            Value::from(counters.evicted_entries),
-        );
-        object.insert(
-            "evicted_bytes".to_string(),
-            Value::from(counters.evicted_bytes),
-        );
-        object.insert(
-            "spill_corrupt".to_string(),
-            Value::from(counters.spill_corrupt),
-        );
-        Value::Object(object)
+        json!({
+            "entries": self.len(),
+            "bytes": self.bytes(),
+            "budget_bytes": self.budget,
+            "spill_dir": self.spill_dir().map(|dir| dir.display().to_string()),
+            "memory_hits": counters.memory_hits,
+            "spill_hits": counters.spill_hits,
+            "misses": counters.misses,
+            "collisions": counters.collisions,
+            "stage_hits": counters.stage_hits,
+            "stage_misses": counters.stage_misses,
+            "coalesced": counters.coalesced,
+            "evicted_entries": counters.evicted_entries,
+            "evicted_bytes": counters.evicted_bytes,
+            "spill_corrupt": counters.spill_corrupt,
+        })
     }
 }
 
@@ -506,10 +564,8 @@ mod tests {
     use parchmint::Device;
     use parchmint_harness::CellStatus;
 
-    fn doc(name: &str) -> Value {
-        let mut object = Map::new();
-        object.insert("name".to_string(), Value::from(name));
-        Value::Object(object)
+    fn doc(name: &str) -> String {
+        format!("{{\"name\":\"{name}\"}}")
     }
 
     fn entry(name: &str) -> Arc<CacheEntry> {
@@ -519,6 +575,10 @@ mod tests {
             CompiledDevice::compile(device).into_shared(),
             Duration::from_millis(1),
         ))
+    }
+
+    fn is_hit(lookup: Lookup) -> bool {
+        matches!(lookup, Lookup::Hit(..))
     }
 
     fn exec(status: CellStatus) -> StageExec {
@@ -534,9 +594,11 @@ mod tests {
     #[test]
     fn lookup_counts_hits_and_misses() {
         let cache = TieredCache::new();
-        assert!(cache.lookup(7).is_none());
+        assert!(matches!(cache.lookup(7, &doc("a")), Lookup::Miss));
         cache.insert(7, entry("a"));
-        let (_, tier) = cache.lookup(7).expect("resident");
+        let Lookup::Hit(_, tier) = cache.lookup(7, &doc("a")) else {
+            panic!("resident");
+        };
         assert_eq!(tier, HitTier::Memory);
         let counters = cache.counters();
         assert_eq!(counters.memory_hits, 1);
@@ -558,9 +620,9 @@ mod tests {
     #[test]
     fn peek_is_uncounted() {
         let cache = TieredCache::new();
-        assert!(cache.peek(5).is_none());
+        assert!(!is_hit(cache.peek(5, &doc("a"))));
         cache.insert(5, entry("a"));
-        assert!(cache.peek(5).is_some());
+        assert!(is_hit(cache.peek(5, &doc("a"))));
         let counters = cache.counters();
         assert_eq!((counters.memory_hits, counters.misses), (0, 0));
     }
@@ -587,12 +649,12 @@ mod tests {
         cache.insert(2, entry("b"));
         assert_eq!(cache.lru_keys(), vec![1, 2]);
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.lookup(1).is_some());
+        assert!(is_hit(cache.lookup(1, &doc("a"))));
         cache.insert(3, entry("c"));
         assert_eq!(cache.len(), 2);
-        assert!(cache.peek(2).is_none(), "LRU entry evicted");
-        assert!(cache.peek(1).is_some());
-        assert!(cache.peek(3).is_some());
+        assert!(!is_hit(cache.peek(2, &doc("b"))), "LRU entry evicted");
+        assert!(is_hit(cache.peek(1, &doc("a"))));
+        assert!(is_hit(cache.peek(3, &doc("c"))));
         assert!(cache.bytes() <= budget);
         let counters = cache.counters();
         assert_eq!(counters.evicted_entries, 1);
@@ -608,7 +670,7 @@ mod tests {
         // A second insert evicts the older one but keeps the newest.
         cache.insert(2, entry("also-oversized"));
         assert_eq!(cache.len(), 1);
-        assert!(cache.peek(2).is_some());
+        assert!(is_hit(cache.peek(2, &doc("also-oversized"))));
         assert_eq!(cache.counters().evicted_entries, 1);
     }
 
@@ -623,16 +685,36 @@ mod tests {
             cache.store_stage(77, &entry, "validate", &exec(CellStatus::Ok));
         }
         let cache = TieredCache::with_limits(None, Some(&dir));
-        let (entry, tier) = cache.lookup(77).expect("rehydrated");
+        let Lookup::Hit(entry, tier) = cache.lookup(77, &doc("persisted")) else {
+            panic!("rehydrated");
+        };
         assert_eq!(tier, HitTier::Spill);
         assert!(entry.compiled().is_none(), "compile re-materializes lazily");
         assert_eq!(entry.stage("validate").unwrap().status, CellStatus::Ok);
-        assert_eq!(entry.doc(), &doc("persisted"));
+        assert_eq!(entry.doc(), doc("persisted"));
+        assert_eq!(entry.design(), "persisted");
         // Now resident: the next lookup is a memory hit.
-        let (_, tier) = cache.lookup(77).expect("resident");
+        let Lookup::Hit(_, tier) = cache.lookup(77, &doc("persisted")) else {
+            panic!("resident");
+        };
         assert_eq!(tier, HitTier::Memory);
         let counters = cache.counters();
         assert_eq!((counters.spill_hits, counters.memory_hits), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn another_documents_entry_is_a_counted_collision() {
+        let cache = TieredCache::new();
+        cache.insert(9, entry("a"));
+        assert!(matches!(cache.lookup(9, &doc("b")), Lookup::Collision));
+        assert!(matches!(cache.peek(9, &doc("b")), Lookup::Collision));
+        // The resident entry keeps its key; a colliding insert is not stored.
+        let other = entry("b");
+        assert!(Arc::ptr_eq(&cache.insert(9, Arc::clone(&other)), &other));
+        assert!(is_hit(cache.lookup(9, &doc("a"))));
+        let counters = cache.counters();
+        assert_eq!((counters.collisions, counters.misses), (2, 1));
+        assert_eq!(counters.memory_hits, 1);
     }
 }

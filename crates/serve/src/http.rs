@@ -40,7 +40,7 @@
 //!   deadline — a truncated body is a 400, a stalled one a 408.
 
 use crate::net::{self, BodyError, LineReader, Poll};
-use crate::protocol::{self, ErrorKind, Request, WireError, PROTO};
+use crate::protocol::{self, ErrorKind, Parsed, Request, SubmitBody, WireError, PROTO};
 use crate::server::{Server, Sink};
 use parchmint_obs::Recorder;
 use serde_json::{Map, Value};
@@ -319,14 +319,14 @@ fn write_response(
     let retry_after = retry_after_ms
         .map(|ms| format!("Retry-After: {}\r\n", ms.div_ceil(1000).max(1)))
         .unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry_after}Connection: {connection}\r\n\r\n",
+    // Head and body leave in one write: a second small write would wait
+    // on the client's delayed ACK.
+    let response = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry_after}Connection: {connection}\r\n\r\n{body}",
         reason(status),
         body.len(),
     );
-    stream.write_all(head.as_bytes()).is_ok()
-        && stream.write_all(body.as_bytes()).is_ok()
-        && stream.flush().is_ok()
+    stream.write_all(response.as_bytes()).is_ok() && stream.flush().is_ok()
 }
 
 fn error_body(kind: ErrorKind, message: &str) -> (u16, Value) {
@@ -373,9 +373,9 @@ fn reply(events: impl IntoIterator<Item = Value>) -> (u16, Map) {
 /// array a batch of them. Blocks until every submission finishes,
 /// returning `(status, body)`.
 pub(crate) fn handle_submit(server: &Server, body: &str) -> (u16, Value) {
-    let parsed = match protocol::read_json(body, "body") {
-        Ok(Value::Array(items)) => return handle_submit_batch(server, items),
-        Ok(value) => protocol::parse_value(value, Some("submit")),
+    let parsed = match protocol::parse_body(body) {
+        Ok(SubmitBody::Batch(items)) => return handle_submit_batch(server, items),
+        Ok(SubmitBody::One(parsed)) => parsed,
         Err(refusal) => Err(refusal),
     };
     match parsed {
@@ -396,13 +396,13 @@ pub(crate) fn handle_submit(server: &Server, body: &str) -> (u16, Value) {
 /// worker pool; a malformed element becomes a single-error slot. The
 /// overall status is 200 only when every slot finished `done`;
 /// otherwise it is the first failing slot's status.
-fn handle_submit_batch(server: &Server, items: Vec<Value>) -> (u16, Value) {
+fn handle_submit_batch(server: &Server, items: Vec<Parsed<Request>>) -> (u16, Value) {
     if server.is_shutting_down() {
         return error_body(ErrorKind::ShuttingDown, "daemon is draining");
     }
     let pending: Vec<_> = items
         .into_iter()
-        .map(|item| protocol::parse_value(item, Some("submit")).map(|r| admit(server, r)))
+        .map(|item| item.map(|request| admit(server, request)))
         .collect();
     let replies: Vec<(u16, Map)> = pending
         .into_iter()
@@ -474,6 +474,7 @@ fn handle_connection(server: &Arc<Server>, stream: TcpStream) {
     if let Some(timeout) = config.effective_write_timeout() {
         let _ = stream.set_write_timeout(Some(timeout));
     }
+    let _ = stream.set_nodelay(true);
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };

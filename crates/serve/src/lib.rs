@@ -64,7 +64,7 @@ pub mod server;
 pub mod service;
 pub mod spill;
 
-pub use cache::{CacheCounters, CacheEntry, HitTier, TieredCache};
+pub use cache::{CacheCounters, CacheEntry, HitTier, Lookup, TieredCache};
 pub use chaos::{ChaosCounters, ChaosPlan, ChaosProxy, Direction, FaultKind, CHAOS_SCHEMA};
 pub use client::{
     submit_suite, Backoff, Client, ClientConfig, ClientError, Submission, SuiteSubmission,
@@ -73,10 +73,10 @@ pub use client::{
 pub use flight::{Flight, FlightToken, FlightWait, SingleFlight};
 pub use net::{LineReader, Poll};
 pub use protocol::{
-    parse_request, parse_submit_body, parse_value, DesignSource, ErrorKind, Request, SubmitRequest,
-    WireError, PROTO, PROTO_MAJOR,
+    parse_request, parse_submit_body, DesignSource, ErrorKind, Request, SubmitRequest, WireError,
+    PROTO, PROTO_MAJOR,
 };
 pub use queue::{Bounded, PushError};
 pub use server::{run, serve, serve_tcp, LineOutcome, Server, SharedWriter};
 pub use service::{ServeConfig, ServeConfigBuilder, Service, DEFAULT_QUEUE_CAPACITY};
-pub use spill::{Spill, SpillEntry, SPILL_SCHEMA};
+pub use spill::{engine_fingerprint, Spill, SpillEntry, SPILL_SCHEMA};

@@ -24,7 +24,8 @@
 //! major is refused with the `unsupported_proto` error kind before any
 //! other field is interpreted.
 
-use serde_json::{Map, Value};
+use crate::hash;
+use serde_json::{Event, EventReader, Map, Value};
 
 /// The wire-protocol version this daemon speaks.
 pub const PROTO: &str = "parchmint-serve/1";
@@ -35,8 +36,9 @@ pub const PROTO_MAJOR: u64 = 1;
 /// Where a submitted design comes from.
 #[derive(Debug, Clone)]
 pub enum DesignSource {
-    /// Inline ParchMint JSON document.
-    Json(Value),
+    /// Inline ParchMint JSON, as its canonical text (see [`crate::hash`]):
+    /// the request parser writes it straight from the request bytes.
+    Json(String),
     /// MINT source text, converted on arrival.
     Mint(String),
     /// A benchmark name resolved against the built-in registry.
@@ -204,45 +206,122 @@ fn check_proto(object: &Map) -> Result<(), WireError> {
     }
 }
 
-/// Parses `text` as one JSON value; `what` names it in the error.
-pub(crate) fn read_json(text: &str, what: &str) -> Result<Value, (Value, WireError)> {
-    serde_json::from_str(text)
-        .map_err(|e| (Value::Null, bad(format!("{what} is not valid JSON: {e}"))))
+/// A parse result paired, on failure, with whatever `id` the request
+/// carried, so the error response still correlates.
+pub(crate) type Parsed<T> = Result<T, (Value, WireError)>;
+
+/// Reads `text` as one JSON document whose root `read` consumes, given
+/// the root's first event. The whole document is read before its
+/// members are interpreted, so a syntax error anywhere — trailing
+/// characters included — wins over what `read` decided: a `bad_request`
+/// naming `what`, with no id.
+fn read_document<'a, T>(
+    text: &'a str,
+    what: &str,
+    read: impl FnOnce(&mut EventReader<'a>, Event<'a>) -> serde_json::Result<T>,
+) -> Parsed<T> {
+    let mut reader = EventReader::new(text);
+    let document = reader.next_event().and_then(|first| {
+        let first = first.expect("a document root is a value or an error");
+        let read = read(&mut reader, first)?;
+        reader.next_event().map(|_| read)
+    });
+    document.map_err(|e| (Value::Null, bad(format!("{what} is not valid JSON: {e}"))))
+}
+
+/// Consumes the rest of a value whose first event was `first`.
+fn skip_rest(reader: &mut EventReader<'_>, first: &Event<'_>) -> serde_json::Result<()> {
+    let mut depth = usize::from(matches!(first, Event::StartArray | Event::StartObject));
+    while depth > 0 {
+        match reader.next_event()? {
+            Some(Event::StartArray | Event::StartObject) => depth += 1,
+            Some(Event::EndArray | Event::EndObject) => depth -= 1,
+            Some(_) => {}
+            None => break,
+        }
+    }
+    Ok(())
+}
+
+/// The request parser every transport shares. Reads one request whose
+/// first event is `first`: an object streams into its members (`design`
+/// as canonical text, the rest as small values), anything else is
+/// consumed and refused. `route_op` is the op a transport's route
+/// implies (HTTP `POST /v1/submit` passes `Some("submit")`): it stands
+/// in for a missing `op`, and a present `op` must match it. The line
+/// protocol passes `None`, so `op` is required.
+fn read_request<'a>(
+    reader: &mut EventReader<'a>,
+    first: Event<'a>,
+    route_op: Option<&str>,
+) -> serde_json::Result<Parsed<Request>> {
+    if first != Event::StartObject {
+        skip_rest(reader, &first)?;
+        let what = route_op.unwrap_or("request");
+        return Ok(Err((
+            Value::Null,
+            bad(format!("{what} must be a JSON object")),
+        )));
+    }
+    let (object, design) = hash::read_members(reader)?;
+    let id = object.get("id").cloned().unwrap_or(Value::Null);
+    Ok(parse_object(object, design, route_op, id.clone()).map_err(|error| (id, error)))
 }
 
 /// Parses one request line. On failure the error comes back paired
 /// with whatever `id` could be recovered from the line, so the error
 /// response still correlates.
 pub fn parse_request(line: &str) -> Result<Request, (Value, WireError)> {
-    parse_value(read_json(line, "request")?, None)
+    read_document(line, "request", |reader, first| {
+        read_request(reader, first, None)
+    })?
 }
 
 /// Parses an HTTP `POST /v1/submit` body: the same object as a
 /// line-protocol submit, with `op` optional (it is implied by the
 /// route, but `"submit"` is accepted).
 pub fn parse_submit_body(body: &str) -> Result<Box<SubmitRequest>, (Value, WireError)> {
-    match parse_value(read_json(body, "body")?, Some("submit"))? {
+    let request = read_document(body, "body", |reader, first| {
+        read_request(reader, first, Some("submit"))
+    })??;
+    match request {
         Request::Submit(request) => Ok(request),
         _ => unreachable!("the submit route parses only submits"),
     }
 }
 
-/// The request parser every transport shares. `route_op` is the op a
-/// transport's route implies (HTTP `POST /v1/submit` passes
-/// `Some("submit")`): it stands in for a missing `op`, and a present
-/// `op` must match it. The line protocol passes `None`, so `op` is
-/// required. The request is taken by value, so an inline design moves
-/// into the [`SubmitRequest`] instead of being copied.
-pub fn parse_value(value: Value, route_op: Option<&str>) -> Result<Request, (Value, WireError)> {
-    let Value::Object(object) = value else {
-        let what = route_op.unwrap_or("request");
-        return Err((Value::Null, bad(format!("{what} must be a JSON object"))));
-    };
-    let id = object.get("id").cloned().unwrap_or(Value::Null);
-    parse_object(object, route_op, id.clone()).map_err(|error| (id, error))
+/// A parsed `POST /v1/submit` body.
+pub(crate) enum SubmitBody {
+    /// An object: one submission.
+    One(Parsed<Request>),
+    /// An array: a batch, each element parsed as one submission.
+    Batch(Vec<Parsed<Request>>),
 }
 
-fn parse_object(object: Map, route_op: Option<&str>, id: Value) -> Result<Request, WireError> {
+/// Parses a whole `POST /v1/submit` body — every batch element included
+/// — before anything is admitted.
+pub(crate) fn parse_body(body: &str) -> Parsed<SubmitBody> {
+    read_document(body, "body", |reader, first| {
+        if first != Event::StartArray {
+            return read_request(reader, first, Some("submit")).map(SubmitBody::One);
+        }
+        let mut items = Vec::new();
+        while let Some(event) = reader.next_event()? {
+            if event == Event::EndArray {
+                break;
+            }
+            items.push(read_request(reader, event, Some("submit"))?);
+        }
+        Ok(SubmitBody::Batch(items))
+    })
+}
+
+fn parse_object(
+    object: Map,
+    design: Option<String>,
+    route_op: Option<&str>,
+    id: Value,
+) -> Result<Request, WireError> {
     check_proto(&object)?;
     let op = object
         .get("op")
@@ -251,7 +330,7 @@ fn parse_object(object: Map, route_op: Option<&str>, id: Value) -> Result<Reques
         .ok_or_else(|| bad("missing string field `op`"))?;
     match (op, route_op) {
         (op, Some(route)) if op != route => Err(bad(format!("`op` must be `{route}`, not `{op}`"))),
-        ("submit", _) => Ok(Request::Submit(parse_submit(object, id)?)),
+        ("submit", _) => Ok(Request::Submit(parse_submit(object, design, id)?)),
         ("stats", _) => Ok(Request::Stats { id }),
         ("ping", _) => Ok(Request::Ping { id }),
         ("shutdown", _) => Ok(Request::Shutdown { id }),
@@ -259,12 +338,12 @@ fn parse_object(object: Map, route_op: Option<&str>, id: Value) -> Result<Reques
     }
 }
 
-fn parse_submit(mut object: Map, id: Value) -> Result<Box<SubmitRequest>, WireError> {
-    let source = match (
-        object.remove("design"),
-        object.remove("mint"),
-        object.remove("benchmark"),
-    ) {
+fn parse_submit(
+    mut object: Map,
+    design: Option<String>,
+    id: Value,
+) -> Result<Box<SubmitRequest>, WireError> {
+    let source = match (design, object.remove("mint"), object.remove("benchmark")) {
         (Some(design), None, None) => DesignSource::Json(design),
         (None, Some(Value::String(text)), None) => DesignSource::Mint(text),
         (None, None, Some(Value::String(name))) => DesignSource::Benchmark(name),
@@ -411,6 +490,39 @@ mod tests {
             bench,
             Request::Submit(ref r) if matches!(r.source, DesignSource::Benchmark(_))
         ));
+    }
+
+    #[test]
+    fn inline_designs_arrive_as_canonical_text() {
+        let line = r#"{"op":"submit","design":{"name":"d","layers":[ ],"a":1.50,"name":"e"}}"#;
+        let Request::Submit(request) = parse_request(line).unwrap() else {
+            panic!("not a submit");
+        };
+        let DesignSource::Json(doc) = &request.source else {
+            panic!("not inline JSON");
+        };
+        assert_eq!(doc, r#"{"a":1.5,"layers":[],"name":"e"}"#);
+    }
+
+    #[test]
+    fn syntax_errors_anywhere_win_over_member_checks() {
+        // The op is unknown and the id present, but the trailing garbage
+        // makes the whole line invalid JSON: no id, tree-parser message.
+        let (id, error) = parse_request(r#"{"id":3,"op":"frobnicate"} x"#).unwrap_err();
+        assert_eq!(id, Value::Null);
+        assert_eq!(
+            error.message,
+            "request is not valid JSON: trailing characters at line 1 column 28"
+        );
+        let (id, error) = parse_request("[1, 2]").unwrap_err();
+        assert_eq!(id, Value::Null);
+        assert_eq!(error.message, "request must be a JSON object");
+        let (_, error) = parse_submit_body(r#"[{"benchmark":"b"}]"#).unwrap_err();
+        assert_eq!(error.message, "submit must be a JSON object");
+        let (_, error) = parse_submit_body(r#"{"benchmark":"b","design":{"a":}}"#).unwrap_err();
+        assert!(error
+            .message
+            .starts_with("body is not valid JSON: expected value"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Daemon transports: stdio, TCP, and HTTP front-ends over one request
 //! core.
 //!
-//! Every transport parses with [`protocol::parse_value`] and hands each
-//! submission to `Server::admit`, which pushes a job onto the
+//! Every transport parses with the one event-driven request parser in
+//! [`protocol`] and hands each submission to `Server::admit`, which pushes a job onto the
 //! bounded admission queue. A job carries its event sink: the submitting
 //! line connection's shared writer, or the channel an HTTP handler is
 //! waiting on. Worker threads — each with the service's collector
@@ -341,6 +341,9 @@ fn line_connection(server: &Arc<Server>, stream: TcpStream, local: std::net::Soc
     if let Some(timeout) = config.effective_write_timeout() {
         let _ = stream.set_write_timeout(Some(timeout));
     }
+    // Events are written as they finish; none should wait for the
+    // client's delayed ACK of the one before.
+    let _ = stream.set_nodelay(true);
     let out: SharedWriter = match stream.try_clone() {
         Ok(write_half) => Arc::new(Mutex::new(Box::new(write_half))),
         Err(_) => return,

@@ -9,9 +9,16 @@
 //! by the daemon and the same design swept by the harness end in
 //! byte-identical cells.
 //!
+//! A request's design is canonical text by the time it gets here (the
+//! protocol parser writes it straight from the request bytes; MINT and
+//! registry designs are canonicalized from their device's own JSON), so
+//! the cache key is one hash of that text, and a hit replays its entry
+//! without building a `Device` at all. Only a miss parses the document.
+//!
 //! Cache discipline, per artifact:
 //!
-//! 1. probe the [`TieredCache`] (memory, then spill);
+//! 1. probe the [`TieredCache`] (memory, then spill) — an entry is used
+//!    only if its stored text is the request's;
 //! 2. on a miss, join the [`SingleFlight`] table for the artifact's
 //!    key — the leader computes and publishes, every concurrent
 //!    duplicate parks (counted under `cache.coalesced`) and replays the
@@ -22,9 +29,10 @@
 //! unconditioned — no deadline, no fuel, no armed fault plan. Bounded
 //! or fault-injected runs execute fresh every time and their results
 //! are never stored, so a degraded partial result can never be
-//! replayed to a clean request.
+//! replayed to a clean request. A submission whose key holds another
+//! design's entry runs the same way.
 
-use crate::cache::{CacheEntry, TieredCache};
+use crate::cache::{CacheEntry, Lookup, TieredCache};
 use crate::flight::{Flight, SingleFlight};
 use crate::hash;
 use crate::protocol::{
@@ -36,6 +44,7 @@ use parchmint_harness::{engine, stage_matches, standard_stages, ExecPolicy, Stag
 use parchmint_obs::Collector;
 use parchmint_resilience::FaultPlan;
 use serde_json::{json, Map, Value};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -334,10 +343,14 @@ enum CompileOutcome {
     /// Served from the cache (memory or spill) or from a coalesced
     /// in-flight compile.
     Hit(Arc<CacheEntry>),
-    /// This request compiled it (and published it, when cacheable).
-    Compiled(Arc<CacheEntry>, Duration),
-    /// Generation or compilation panicked.
-    Panicked(String),
+    /// This request compiled it and published it to the cache.
+    Published(Arc<CacheEntry>, Duration),
+    /// This request compiled it for itself alone.
+    Uncached(Arc<CacheEntry>, Duration),
+    /// The document is not a valid design.
+    Invalid(WireError),
+    /// Generation or compilation of the named design panicked.
+    Panicked(String, String),
 }
 
 /// The shared service state: stage matrix, tiered cache, single-flight
@@ -415,35 +428,33 @@ impl Service {
         self.worker_respawns.load(Ordering::Relaxed)
     }
 
-    /// Resolves a design source to a device plus the canonical document
-    /// the cache key is derived from.
-    fn resolve(&self, source: &DesignSource) -> Result<(Device, Value), WireError> {
+    /// Resolves a design source to the canonical document its cache key
+    /// is derived from, plus the device when resolving had to build one.
+    fn resolve<'s>(
+        &self,
+        source: &'s DesignSource,
+    ) -> Result<(Cow<'s, str>, Option<Device>), WireError> {
         let invalid = |message: String| WireError::new(ErrorKind::InvalidDesign, message);
-        match source {
-            DesignSource::Json(value) => {
-                // The streaming zero-copy parser: same accepted language
-                // as `Device::from_json` (pinned by the core equivalence
-                // proptest), one pass, no intermediate `Value` tree.
-                let device = Device::from_json_fast(&hash::canonical_string(value))
-                    .map_err(|e| invalid(format!("invalid ParchMint design: {e}")))?;
-                Ok((device, value.clone()))
-            }
+        let device = match source {
+            DesignSource::Json(doc) => return Ok((Cow::Borrowed(doc), None)),
             DesignSource::Mint(text) => {
                 let file = parchmint_mint::parse(text)
                     .map_err(|e| invalid(format!("invalid MINT: {e}")))?;
-                let device = parchmint_mint::mint_to_device(&file)
-                    .map_err(|e| invalid(format!("MINT conversion failed: {e}")))?;
-                let doc = device_document(&device)?;
-                Ok((device, doc))
+                parchmint_mint::mint_to_device(&file)
+                    .map_err(|e| invalid(format!("MINT conversion failed: {e}")))?
             }
-            DesignSource::Benchmark(name) => {
-                let benchmark = parchmint_suite::by_name(name)
-                    .ok_or_else(|| invalid(format!("unknown benchmark `{name}`")))?;
-                let device = benchmark.device();
-                let doc = device_document(&device)?;
-                Ok((device, doc))
-            }
-        }
+            DesignSource::Benchmark(name) => parchmint_suite::by_name(name)
+                .ok_or_else(|| invalid(format!("unknown benchmark `{name}`")))?
+                .device(),
+        };
+        // Keyed by the device's own serialization, so MINT and registry
+        // submissions share cache entries with the equivalent inline-JSON
+        // submission.
+        let unserializable =
+            |e: &dyn std::fmt::Display| invalid(format!("unserializable design: {e}"));
+        let json = device.to_json().map_err(|e| unserializable(&e))?;
+        let doc = hash::canonical_text(&json).map_err(|e| unserializable(&e))?;
+        Ok((Cow::Owned(doc), Some(device)))
     }
 
     /// The execution policy for one submission: request-level bounds win,
@@ -502,19 +513,38 @@ impl Service {
     }
 
     fn run_submission(&self, request: &SubmitRequest, emit: &mut dyn FnMut(Value)) {
-        let (device, doc) = match self.resolve(&request.source) {
+        let (doc, mut device) = match self.resolve(&request.source) {
             Ok(resolved) => resolved,
-            Err(error) => {
-                emit(error_event(&request.id, &error));
-                return;
-            }
+            Err(error) => return emit(error_event(&request.id, &error)),
         };
-        let key = hash::content_hash(&doc);
-        let design = device.name.clone();
+        let key = hash::canonical_hash(&doc);
         let policy = self.policy_for(request);
-        let faults = self.faults_for(&design);
+        // The fault plan is matched by design name, so an armed plan
+        // needs the device before the cache is consulted.
+        if device.is_none() && self.config.faults.is_some() {
+            match parse_design(&doc) {
+                Ok(parsed) => device = Some(parsed),
+                Err(error) => return emit(error_event(&request.id, &error)),
+            }
+        }
+        let faults = device.as_ref().and_then(|d| self.faults_for(&d.name));
         let cacheable = !policy.is_bounded() && faults.is_none();
         let (selected, unknown) = self.select_stages(request.stages.as_deref());
+
+        // Compile: shared from the cache / an in-flight duplicate when
+        // possible, fresh otherwise.
+        let (design, compiled) =
+            match self.obtain_compile(key, &doc, device, faults.as_ref(), cacheable) {
+                CompileOutcome::Hit(entry) => (entry.design().to_string(), Ok((entry, None, true))),
+                CompileOutcome::Published(entry, wall) => {
+                    (entry.design().to_string(), Ok((entry, Some(wall), true)))
+                }
+                CompileOutcome::Uncached(entry, wall) => {
+                    (entry.design().to_string(), Ok((entry, Some(wall), false)))
+                }
+                CompileOutcome::Invalid(error) => return emit(error_event(&request.id, &error)),
+                CompileOutcome::Panicked(design, panic) => (design, Err(panic)),
+            };
 
         let mut cells = 0usize;
         for selector in &unknown {
@@ -531,39 +561,35 @@ impl Service {
             ));
         }
 
-        // Compile: shared from the cache / an in-flight duplicate when
-        // possible, fresh otherwise.
-        let (entry, compile_hit, compile_wall) =
-            match self.obtain_compile(key, cacheable, &device, &doc, faults.as_ref()) {
-                CompileOutcome::Hit(entry) => (entry, true, None),
-                CompileOutcome::Compiled(entry, wall) => (entry, false, Some(wall)),
-                CompileOutcome::Panicked(panic) => {
-                    // Generation/compilation panicked: every selected stage
-                    // is a failed cell, exactly as the harness reports it.
-                    for stage in &selected {
-                        cells += 1;
-                        emit(cell_event(
-                            &request.id,
-                            &design,
-                            &stage.name,
-                            "failed",
-                            Some(&format!("compile panicked: {panic}")),
-                            &Default::default(),
-                            0.0,
-                            false,
-                        ));
-                    }
-                    emit(done_event(
+        let (entry, compile_wall, cacheable) = match compiled {
+            Ok(compiled) => compiled,
+            Err(panic) => {
+                // Generation/compilation panicked: every selected stage
+                // is a failed cell, exactly as the harness reports it.
+                for stage in &selected {
+                    cells += 1;
+                    emit(cell_event(
                         &request.id,
                         &design,
-                        &hash::hex(key),
+                        &stage.name,
+                        "failed",
+                        Some(&format!("compile panicked: {panic}")),
+                        &Default::default(),
+                        0.0,
                         false,
-                        None,
-                        cells,
                     ));
-                    return;
                 }
-            };
+                emit(done_event(
+                    &request.id,
+                    &design,
+                    &hash::hex(key),
+                    false,
+                    None,
+                    cells,
+                ));
+                return;
+            }
+        };
 
         for stage in &selected {
             let started = Instant::now();
@@ -597,65 +623,63 @@ impl Service {
             &request.id,
             &design,
             &hash::hex(key),
-            compile_hit,
+            compile_wall.is_none(),
             compile_wall.map(|wall| wall.as_secs_f64() * 1e3),
             cells,
         ));
     }
 
-    /// Gets the compile artifact for `key`: from the tiered cache, by
-    /// winning the single-flight and compiling, or by parking behind an
-    /// identical in-flight compile. Non-cacheable requests compile
-    /// fresh without touching cache or flights.
+    /// Gets the compile artifact for the canonical document `doc`: from
+    /// the tiered cache, by winning the single-flight and compiling, or
+    /// by parking behind an identical in-flight compile. A request that
+    /// may not use the cache, or whose key holds another design's
+    /// entry, compiles for itself alone. The device is parsed only when
+    /// this request compiles.
     fn obtain_compile(
         &self,
         key: u64,
-        cacheable: bool,
-        device: &Device,
-        doc: &Value,
+        doc: &str,
+        device: Option<Device>,
         faults: Option<&Arc<FaultPlan>>,
+        cacheable: bool,
     ) -> CompileOutcome {
         if !cacheable {
-            let device = device.clone();
-            let compile = engine::compile_device(move || device, faults, false);
-            parchmint_obs::count("serve.compile.executed", 1);
-            return match compile.compiled {
-                Ok(compiled) => CompileOutcome::Compiled(
-                    Arc::new(CacheEntry::new(doc.clone(), compiled, compile.wall)),
-                    compile.wall,
-                ),
-                Err(panic) => CompileOutcome::Panicked(panic),
-            };
+            return self.compile(doc, device, faults);
         }
+        let hit = |entry| {
+            parchmint_obs::count("serve.compile.replayed", 1);
+            CompileOutcome::Hit(entry)
+        };
         loop {
-            if let Some((entry, _tier)) = self.cache.lookup(key) {
-                parchmint_obs::count("serve.compile.replayed", 1);
-                return CompileOutcome::Hit(entry);
+            match self.cache.lookup(key, doc) {
+                Lookup::Hit(entry, _) => return hit(entry),
+                Lookup::Collision => return self.compile(doc, device, None),
+                Lookup::Miss => {}
             }
             match self.compile_flights.join(key) {
                 Flight::Leader(token) => {
                     // A leader that finished between our counted miss and
                     // this promotion already published; don't recompile.
-                    if let Some(entry) = self.cache.peek(key) {
-                        token.complete();
-                        parchmint_obs::count("serve.compile.replayed", 1);
-                        return CompileOutcome::Hit(entry);
-                    }
-                    let device = device.clone();
-                    let compile = engine::compile_device(move || device, None, false);
-                    parchmint_obs::count("serve.compile.executed", 1);
-                    return match compile.compiled {
-                        Ok(compiled) => {
-                            let entry = self.cache.insert(
-                                key,
-                                Arc::new(CacheEntry::new(doc.clone(), compiled, compile.wall)),
-                            );
+                    match self.cache.peek(key, doc) {
+                        Lookup::Hit(entry, _) => {
                             token.complete();
-                            CompileOutcome::Compiled(entry, compile.wall)
+                            return hit(entry);
+                        }
+                        Lookup::Collision => {
+                            token.complete();
+                            return self.compile(doc, device, None);
+                        }
+                        Lookup::Miss => {}
+                    }
+                    return match self.compile(doc, device, None) {
+                        CompileOutcome::Uncached(entry, wall) => {
+                            let entry = self.cache.insert(key, entry);
+                            token.complete();
+                            CompileOutcome::Published(entry, wall)
                         }
                         // The token drops unfinished → the flight is
                         // abandoned and every waiter retries for itself.
-                        Err(panic) => CompileOutcome::Panicked(panic),
+                        failed => failed,
                     };
                 }
                 Flight::Waiter(wait) => {
@@ -666,6 +690,30 @@ impl Service {
                     let _ = wait.wait();
                 }
             }
+        }
+    }
+
+    /// Compiles `doc` outside the cache, parsing it unless the device
+    /// was already built.
+    fn compile(
+        &self,
+        doc: &str,
+        device: Option<Device>,
+        faults: Option<&Arc<FaultPlan>>,
+    ) -> CompileOutcome {
+        let device = match device.map_or_else(|| parse_design(doc), Ok) {
+            Ok(device) => device,
+            Err(error) => return CompileOutcome::Invalid(error),
+        };
+        let design = device.name.clone();
+        let compile = engine::compile_device(move || device, faults, false);
+        parchmint_obs::count("serve.compile.executed", 1);
+        match compile.compiled {
+            Ok(compiled) => {
+                let entry = CacheEntry::new(doc.to_owned(), compiled, compile.wall);
+                CompileOutcome::Uncached(Arc::new(entry), compile.wall)
+            }
+            Err(panic) => CompileOutcome::Panicked(design, panic),
         }
     }
 
@@ -734,7 +782,7 @@ impl Service {
         if let Some(compiled) = entry.compiled() {
             return Ok(compiled);
         }
-        let device = Device::from_json_fast(&hash::canonical_string(entry.doc()))
+        let device = Device::from_json_fast(entry.doc())
             .map_err(|e| format!("spilled design no longer parses: {e}"))?;
         let compile = engine::compile_device(move || device, None, false);
         parchmint_obs::count("serve.compile.executed", 1);
@@ -769,20 +817,14 @@ impl Service {
     }
 }
 
-/// Re-parses a device's own serialization into the canonical document
-/// hashed for cache keying, so MINT and registry submissions share
-/// cache entries with the equivalent inline-JSON submission.
-fn device_document(device: &Device) -> Result<Value, WireError> {
-    let json = device.to_json().map_err(|e| {
+/// Parses a canonical document into its device with the streaming
+/// parser (the same accepted language as `Device::from_json`, pinned by
+/// the core equivalence proptest).
+fn parse_design(doc: &str) -> Result<Device, WireError> {
+    Device::from_json_fast(doc).map_err(|e| {
         WireError::new(
             ErrorKind::InvalidDesign,
-            format!("unserializable design: {e}"),
-        )
-    })?;
-    serde_json::from_str(&json).map_err(|e| {
-        WireError::new(
-            ErrorKind::InvalidDesign,
-            format!("unserializable design: {e}"),
+            format!("invalid ParchMint design: {e}"),
         )
     })
 }
@@ -981,6 +1023,38 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert_eq!(events[0]["cell"]["status"], Value::from("failed"));
         assert_eq!(events[0]["cell"]["stage"], Value::from("no_such_stage"));
+    }
+
+    #[test]
+    fn a_hit_replays_without_building_the_device() {
+        // `from_json_fast` rejects this document, so only a path that
+        // never builds the device can answer it from the cache.
+        let doc = r#"{"components":7,"name":"planted"}"#;
+        assert!(Device::from_json_fast(doc).is_err());
+        let service = Service::new(ServeConfig::default());
+        let stages = std::collections::BTreeMap::from([(
+            "validate".to_string(),
+            StageExec {
+                status: parchmint_harness::CellStatus::Ok,
+                detail: None,
+                metrics: Default::default(),
+                trace: None,
+                attempts: 1,
+            },
+        )]);
+        let entry = CacheEntry::warm(doc.to_string(), "planted".into(), Duration::ZERO, stages);
+        service
+            .cache()
+            .insert(hash::canonical_hash(doc), Arc::new(entry));
+        let request = SubmitRequest {
+            source: DesignSource::Json(doc.to_string()),
+            ..submit("logic_gate_or")
+        };
+        let events = events_of(&service, &request);
+        assert_eq!(events.len(), 2, "{events:?}");
+        assert_eq!(events[0]["cached"], Value::from(true));
+        assert_eq!(events[1]["cached"], Value::from(true));
+        assert_eq!(events[1]["design"], Value::from("planted"));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! One file per cached design, named by the same 16-hex-digit FNV-1a
 //! content hash that keys the in-memory tier, holding the canonical
-//! device document plus every recorded stage cell
-//! (`parchmint-spill/v1`). A daemon restarted with the same
-//! `--cache-dir` therefore serves warm resubmissions without
+//! device document, the design's name, the engine fingerprint, and
+//! every recorded stage cell (`parchmint-spill/v2`). A daemon restarted
+//! with the same `--cache-dir` therefore serves warm resubmissions without
 //! recompiling anything: the entry is rehydrated from disk, its stages
 //! replay byte-identically, and the compile artifact itself is only
 //! re-materialized if a *new* stage needs it.
@@ -18,26 +18,42 @@
 //!   half-written entry under a real key — at worst, stray `*.tmp`
 //!   files.
 //! - **Loads are corruption-tolerant.** A spill file that is missing,
-//!   unreadable, unparseable, schema-mismatched, or keyed wrong is a
-//!   cache *miss* (counted under `spill_corrupt`), never an error — the
-//!   design simply recompiles and the bad file is overwritten by the
-//!   next store.
+//!   unreadable, unparseable, schema-mismatched, keyed wrong, or written
+//!   by another engine (see [`engine_fingerprint`]) is a cache *miss*
+//!   (counted under `spill_corrupt`), never an error — the design simply
+//!   recompiles and the bad file is overwritten by the next store.
 
-use parchmint_harness::{CellStatus, StageExec};
-use serde_json::{Map, Value};
+use crate::hash;
+use parchmint_harness::{standard_stages, CellStatus, StageExec};
+use serde_json::{json, Event, EventReader, Map, Value};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// The spill file schema tag.
-pub const SPILL_SCHEMA: &str = "parchmint-spill/v1";
+pub const SPILL_SCHEMA: &str = "parchmint-spill/v2";
+
+/// The engine a spill file's results came from: this crate's version
+/// plus the standard stage matrix. A file stamped with another engine
+/// is stale and loads as a miss, so an engine change that alters
+/// results must bump the version.
+pub fn engine_fingerprint() -> &'static str {
+    static FINGERPRINT: OnceLock<String> = OnceLock::new();
+    FINGERPRINT.get_or_init(|| {
+        let stages: Vec<String> = standard_stages().into_iter().map(|s| s.name).collect();
+        format!("{} {}", env!("CARGO_PKG_VERSION"), stages.join(","))
+    })
+}
 
 /// A stage map plus compile metadata rehydrated from one spill file.
 pub struct SpillEntry {
-    /// The canonical design document (the hash preimage).
-    pub doc: Value,
+    /// The canonical design document text (the hash preimage).
+    pub doc: String,
+    /// The design's name.
+    pub design: String,
     /// The original compile wall time, as recorded by the daemon that
     /// first compiled the design.
     pub compile_wall: Duration,
@@ -104,9 +120,10 @@ impl Spill {
         }
     }
 
-    /// Spills an entry: canonical document, compile wall time, and the
-    /// current stage snapshot. Atomic (tmp-then-rename) and best-effort
-    /// — a full disk loses persistence, never correctness.
+    /// Spills an entry for a parsed document: its canonical text, its
+    /// `name` member, compile wall time, and a stage snapshot. Atomic
+    /// (tmp-then-rename) and best-effort — a full disk loses
+    /// persistence, never correctness.
     pub fn store(
         &self,
         key_hex: &str,
@@ -114,7 +131,21 @@ impl Spill {
         compile_wall: Duration,
         stages: &BTreeMap<String, StageExec>,
     ) {
-        let body = encode_entry(key_hex, doc, compile_wall, stages);
+        let design = doc["name"].as_str().unwrap_or_default();
+        let doc = hash::canonical_string(doc);
+        self.store_document(key_hex, &doc, design, compile_wall, stages);
+    }
+
+    /// [`Spill::store`] for a document already in canonical text.
+    pub(crate) fn store_document(
+        &self,
+        key_hex: &str,
+        doc: &str,
+        design: &str,
+        compile_wall: Duration,
+        stages: &BTreeMap<String, StageExec>,
+    ) {
+        let body = encode_entry(key_hex, doc, design, compile_wall, stages);
         let unique = self.seq.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir
@@ -145,18 +176,11 @@ fn write_synced(path: &Path, body: &[u8]) -> std::io::Result<()> {
 
 fn encode_entry(
     key_hex: &str,
-    doc: &Value,
+    doc: &str,
+    design: &str,
     compile_wall: Duration,
     stages: &BTreeMap<String, StageExec>,
 ) -> String {
-    let mut object = Map::new();
-    object.insert("schema".to_string(), Value::from(SPILL_SCHEMA));
-    object.insert("key".to_string(), Value::from(key_hex));
-    object.insert("design".to_string(), doc.clone());
-    object.insert(
-        "compile_ms".to_string(),
-        Value::from(compile_wall.as_secs_f64() * 1e3),
-    );
     let mut cells = Map::new();
     for (name, exec) in stages {
         let mut cell = Map::new();
@@ -175,20 +199,39 @@ fn encode_entry(
         cell.insert("attempts".to_string(), Value::from(exec.attempts));
         cells.insert(name.clone(), Value::Object(cell));
     }
-    object.insert("stages".to_string(), Value::Object(cells));
-    serde_json::to_string(&Value::Object(object)).expect("spill entry serializes")
+    let head = json!({
+        "schema": SPILL_SCHEMA,
+        "engine": engine_fingerprint(),
+        "key": key_hex,
+        "name": design,
+        "compile_ms": compile_wall.as_secs_f64() * 1e3,
+        "stages": cells,
+    });
+    // The document is canonical JSON already: splice it in as the last
+    // member instead of serializing a tree of it.
+    let mut body = serde_json::to_string(&head).expect("spill entry serializes");
+    body.pop();
+    body.push_str(",\"design\":");
+    body.push_str(doc);
+    body.push('}');
+    body
 }
 
 fn decode_entry(text: &str, key_hex: &str) -> Option<SpillEntry> {
-    let value: Value = serde_json::from_str(text).ok()?;
-    let object = value.as_object()?;
-    if object.get("schema")?.as_str()? != SPILL_SCHEMA {
+    let mut reader = EventReader::new(text);
+    if reader.next_event().ok()? != Some(Event::StartObject) {
         return None;
     }
-    if object.get("key")?.as_str()? != key_hex {
+    let (object, doc) = hash::read_members(&mut reader).ok()?;
+    reader.next_event().ok()?;
+    let field = |name: &str| object.get(name).and_then(Value::as_str);
+    if field("schema")? != SPILL_SCHEMA
+        || field("engine")? != engine_fingerprint()
+        || field("key")? != key_hex
+    {
         return None;
     }
-    let doc = object.get("design")?.clone();
+    let design = field("name")?.to_string();
     let compile_ms = object.get("compile_ms")?.as_f64()?;
     if !compile_ms.is_finite() || compile_ms < 0.0 {
         return None;
@@ -222,7 +265,8 @@ fn decode_entry(text: &str, key_hex: &str) -> Option<SpillEntry> {
         );
     }
     Some(SpillEntry {
-        doc,
+        doc: doc?,
+        design,
         compile_wall: Duration::from_secs_f64(compile_ms / 1e3),
         stages,
     })
@@ -279,7 +323,8 @@ mod tests {
             &sample_stages(),
         );
         let loaded = spill.load("00000000deadbeef").expect("stored entry loads");
-        assert_eq!(loaded.doc, doc);
+        assert_eq!(loaded.doc, r#"{"name":"roundtrip"}"#);
+        assert_eq!(loaded.design, "roundtrip");
         assert_eq!(loaded.stages.len(), 2);
         assert_eq!(loaded.stages["validate"].status, CellStatus::Ok);
         assert_eq!(loaded.stages["validate"].metrics["rules"], Value::from(12));
@@ -325,6 +370,18 @@ mod tests {
         .unwrap();
         assert!(spill.load("000000000000000b").is_none());
         assert_eq!(spill.corrupt_loads(), 3);
+
+        // Another engine's results are stale, however well-formed.
+        let text = fs::read_to_string(dir.join("000000000000000b.json")).unwrap();
+        let stale = text
+            .replace("000000000000000a", "000000000000000c")
+            .replace(engine_fingerprint(), "0.0.0 validate");
+        fs::write(dir.join("000000000000000c.json"), &stale).unwrap();
+        assert!(spill.load("000000000000000c").is_none());
+        assert_eq!(spill.corrupt_loads(), 4);
+        let current = stale.replace("0.0.0 validate", engine_fingerprint());
+        fs::write(dir.join("000000000000000c.json"), current).unwrap();
+        assert!(spill.load("000000000000000c").is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 

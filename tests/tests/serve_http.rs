@@ -2,6 +2,7 @@
 //! and parity with the line protocol (both transports share one
 //! service, queue, and cache).
 
+use parchmint_serve::hash::{content_hash, hex};
 use parchmint_serve::{serve, Client, ServeConfig, Service};
 use serde_json::Value;
 use std::io::{Read, Write};
@@ -331,6 +332,68 @@ fn http_keep_alive_serves_sequential_requests_on_one_connection() {
         assert!(response.starts_with("HTTP/1.1 200"), "{response}");
     }
     drop(stream);
+
+    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    client.shutdown().expect("shutdown ack");
+    handle.join().expect("daemon exits");
+}
+
+/// Pretty-prints `value` with every object's members in reverse order.
+fn pretty_reversed(value: &Value, depth: usize) -> String {
+    let indent = "  ".repeat(depth + 1);
+    let close = "  ".repeat(depth);
+    match value {
+        Value::Array(items) if !items.is_empty() => {
+            let items: Vec<String> = items
+                .iter()
+                .map(|item| format!("{indent}{}", pretty_reversed(item, depth + 1)))
+                .collect();
+            format!("[\n{}\n{close}]", items.join(",\n"))
+        }
+        Value::Object(members) if !members.is_empty() => {
+            let mut members: Vec<String> = members
+                .iter()
+                .map(|(key, item)| {
+                    format!(
+                        "{indent}{}: {}",
+                        Value::from(key.as_str()),
+                        pretty_reversed(item, depth + 1)
+                    )
+                })
+                .collect();
+            members.reverse();
+            format!("{{\n{}\n{close}}}", members.join(",\n"))
+        }
+        scalar => scalar.to_string(),
+    }
+}
+
+#[test]
+fn a_design_resubmitted_in_another_layout_is_served_from_the_cache() {
+    let (tcp_addr, http_addr, handle) = start_daemon();
+    let compact = parchmint_suite::by_name("rotary_pump_mixer")
+        .expect("registered benchmark")
+        .device()
+        .to_json()
+        .expect("serializes");
+    let value: Value = serde_json::from_str(&compact).expect("parses");
+    let shuffled = pretty_reversed(&value, 1);
+    assert!(shuffled.contains('\n') && shuffled != compact);
+    assert_eq!(serde_json::from_str::<Value>(&shuffled).unwrap(), value);
+
+    let mut replies = Vec::new();
+    for design in [&shuffled, &compact] {
+        let body = format!("{{\n  \"stages\": [\"validate\"],\n  \"design\": {design}\n}}");
+        let (status, reply) = roundtrip(&http_addr, "POST", "/v1/submit", Some(&body));
+        assert_eq!(status, 200, "{reply}");
+        replies.push(reply["events"].as_array().expect("events").clone());
+    }
+    let done: Vec<&Value> = replies.iter().map(|events| &events[1]).collect();
+    assert_eq!(done[0]["key"], done[1]["key"], "one design, one key");
+    assert_eq!(done[0]["key"], Value::from(hex(content_hash(&value))));
+    assert_eq!(done[0]["cached"], Value::from(false));
+    assert_eq!(done[1]["cached"], Value::from(true));
+    assert_eq!(replies[1][0]["cached"], Value::from(true));
 
     let mut client = Client::connect(&tcp_addr).expect("connect tcp");
     client.shutdown().expect("shutdown ack");
