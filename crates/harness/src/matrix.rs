@@ -59,19 +59,18 @@ pub fn select_stages(selectors: Option<&[String]>) -> (Vec<Stage>, Vec<String>) 
     (stages, unknown)
 }
 
-/// Resolves benchmark names against the registry, returning the matched
-/// benchmarks plus the names that matched nothing. `None` selects the
-/// whole registry.
+/// Resolves benchmark names with [`parchmint_suite::by_name`], so the FPVA
+/// tier resolves as well as the registry, returning the matched benchmarks
+/// plus the names that matched nothing. `None` selects the whole registry.
 pub fn select_benchmarks(names: Option<&[String]>) -> (Vec<Benchmark>, Vec<String>) {
-    let registry = parchmint_suite::suite();
     let Some(names) = names else {
-        return (registry, Vec::new());
+        return (parchmint_suite::suite(), Vec::new());
     };
     let mut benchmarks = Vec::new();
     let mut unknown = Vec::new();
     for name in names {
-        match registry.iter().find(|b| b.name() == name.as_str()) {
-            Some(benchmark) => benchmarks.push(benchmark.clone()),
+        match parchmint_suite::by_name(name) {
+            Some(benchmark) => benchmarks.push(benchmark),
             None => unknown.push(name.clone()),
         }
     }
@@ -136,6 +135,27 @@ mod tests {
             .as_deref()
             .unwrap()
             .contains("teleport"));
+    }
+
+    #[test]
+    fn fpva_tier_resolves_by_name() {
+        let matrix = resolve_matrix(
+            Some(&["fpva_1k".to_string(), "fpva_ghost".to_string()]),
+            None,
+        );
+        assert_eq!(matrix.benchmarks.len(), 1);
+        assert_eq!(matrix.benchmarks[0].name(), "fpva_1k");
+        assert_eq!(matrix.bad_cells.len(), 1);
+        let bad = &matrix.bad_cells[0];
+        assert_eq!(
+            (bad.benchmark.as_str(), bad.stage.as_str()),
+            ("fpva_ghost", "resolve")
+        );
+        assert_eq!(bad.status, CellStatus::Failed);
+        assert_eq!(
+            bad.detail.as_deref(),
+            Some("unknown benchmark `fpva_ghost`")
+        );
     }
 
     #[test]

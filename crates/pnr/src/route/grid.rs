@@ -8,10 +8,10 @@
 
 use super::{RoutedNet, Router, RoutingResult};
 use parchmint::geometry::{Point, Rect};
-use parchmint::{CompiledDevice, Device};
+use parchmint::{CompiledDevice, ConnectionId, Device};
 use parchmint_resilience::Meter;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Meter interval for the A* search: the installed budget is probed once
 /// per this many heap pops, so cancellation stops the search within one
@@ -104,16 +104,8 @@ impl RoutingGrid {
         grid
     }
 
-    fn new(device: &Device, config: &GridRouterConfig) -> Self {
-        RoutingGrid::from_device(device, config.cell, config.clearance)
-    }
-
     pub(crate) fn index(&self, cx: i64, cy: i64) -> usize {
         (cy * self.cols + cx) as usize
-    }
-
-    pub(crate) fn in_bounds(&self, cx: i64, cy: i64) -> bool {
-        cx >= 0 && cy >= 0 && cx < self.cols && cy < self.rows
     }
 
     pub(crate) fn cell_of(&self, p: Point) -> (i64, i64) {
@@ -157,7 +149,7 @@ impl RoutingGrid {
         for dy in -r..=r {
             for dx in -r..=r {
                 let (cx, cy) = (cell.0 + dx, cell.1 + dy);
-                if self.in_bounds(cx, cy) {
+                if cx >= 0 && cy >= 0 && cx < self.cols && cy < self.rows {
                     cells.push(self.index(cx, cy));
                 }
             }
@@ -166,96 +158,204 @@ impl RoutingGrid {
     }
 }
 
-pub(crate) const DIRS: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
+/// Cell steps in heading order: +x, −x, +y, −y. A search state is a
+/// (cell, heading) pair, `cell * 5 + heading`; heading [`START`] marks the
+/// start state, which has no predecessor.
+const DIRS: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
+const START: usize = 4;
 
-/// A* from `start` to `goal` over the grid. `free_override` marks cells
-/// passable regardless of component blockage (endpoint escape zones and
-/// the net's own previously routed cells). `expanded` accumulates the
-/// number of heap pops (search effort) for trace counters.
-fn astar(
-    grid: &RoutingGrid,
-    config: &GridRouterConfig,
-    start: (i64, i64),
-    goal: (i64, i64),
-    free_override: &[bool],
-    expanded: &mut u64,
-    meter: &mut Meter,
-) -> Option<Vec<(i64, i64)>> {
-    let n = (grid.cols * grid.rows) as usize;
-    let state = |cell: usize, dir: usize| cell * 5 + dir;
-    let mut best = vec![u32::MAX; n * 5];
-    let mut prev: Vec<u32> = vec![u32::MAX; n * 5];
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+/// Expansion window in cell coordinates: `(x0, y0, x1, y1)` inclusive.
+pub(crate) type Window = (i64, i64, i64, i64);
 
-    // A cell is passable when no other net owns it (unless this net does,
-    // via the override) and any component blockage is inside this net's
-    // endpoint escape zone.
-    let passable = |cell: usize| {
-        let flags = grid.blocked[cell];
-        if free_override[cell] {
-            return true;
-        }
-        flags == 0
-    };
+/// The grid A* both searching routers run, with scratch kept across every
+/// search of one route call.
+///
+/// Entries of `best` carry the search generation in their high 32 bits and
+/// the path cost in the low 32, so a state stamped by an earlier search
+/// reads as unreached and no search fills grid-sized arrays. `prev` holds
+/// the predecessor's heading: the predecessor cell is one step back along
+/// the state's own heading. Heap keys pack `f << 32 | state`, which orders
+/// exactly as the `(f, state)` pair. A state is pushed again only with a
+/// strictly lower cost and the same heuristic, so keys are unique (two
+/// keys of one state can only match once `f` saturates, as equal values),
+/// and any exact min-queue pops the same sequence.
+pub(crate) struct Search {
+    best: Vec<u64>,
+    prev: Vec<u8>,
+    heap: BinaryHeap<Reverse<u64>>,
+    generation: u32,
+    /// Heap pops over every search so far (search effort, for trace
+    /// counters).
+    pub(crate) expanded: u64,
+}
 
-    let h = |cx: i64, cy: i64| -> u32 {
-        (((cx - goal.0).abs() + (cy - goal.1).abs()) as u32) * config.step_cost
-    };
-
-    let start_cell = grid.index(start.0, start.1);
-    let start_state = state(start_cell, 4);
-    best[start_state] = 0;
-    heap.push(Reverse((h(start.0, start.1), start_state as u32)));
-
-    while let Some(Reverse((_, s))) = heap.pop() {
-        if meter.check().is_err() {
-            return None;
-        }
-        *expanded += 1;
-        let s = s as usize;
-        let cell = s / 5;
-        let dir = s % 5;
-        let (cx, cy) = ((cell as i64) % grid.cols, (cell as i64) / grid.cols);
-        if (cx, cy) == goal {
-            // Reconstruct.
-            let mut path = vec![(cx, cy)];
-            let mut cur = s;
-            while prev[cur] != u32::MAX {
-                cur = prev[cur] as usize;
-                let c = cur / 5;
-                let p = ((c as i64) % grid.cols, (c as i64) / grid.cols);
-                if path.last() != Some(&p) {
-                    path.push(p);
-                }
-            }
-            path.reverse();
-            return Some(path);
-        }
-        let g = best[s];
-        for (d, (dx, dy)) in DIRS.iter().enumerate() {
-            let (nx, ny) = (cx + dx, cy + dy);
-            if !grid.in_bounds(nx, ny) {
-                continue;
-            }
-            let ncell = grid.index(nx, ny);
-            if !passable(ncell) {
-                continue;
-            }
-            let bend = if dir != 4 && dir != d {
-                config.bend_penalty
-            } else {
-                0
-            };
-            let ng = g + config.step_cost + bend;
-            let ns = state(ncell, d);
-            if ng < best[ns] {
-                best[ns] = ng;
-                prev[ns] = s as u32;
-                heap.push(Reverse((ng + h(nx, ny), ns as u32)));
-            }
+impl Search {
+    pub(crate) fn new(grid: &RoutingGrid) -> Self {
+        let states = grid.blocked.len() * 5;
+        assert!(
+            u32::try_from(states).is_ok(),
+            "grid exceeds 32-bit search states"
+        );
+        Search {
+            best: vec![0; states],
+            prev: vec![0; states],
+            heap: BinaryHeap::new(),
+            generation: 0,
+            expanded: 0,
         }
     }
-    None
+
+    /// A* from `start` to `goal` inside `window` (the whole grid when
+    /// `None`), returning the cell path. `cost(cell)` is `None` for a
+    /// blocked cell and otherwise the extra cost of entering it on top of
+    /// the step and bend costs. Both endpoints must lie inside the window.
+    /// The meter is checked once per heap pop; a tripped meter ends the
+    /// search with `None`.
+    #[allow(clippy::too_many_arguments)] // one kernel, every caller's knobs
+    pub(crate) fn run(
+        &mut self,
+        grid: &RoutingGrid,
+        step_cost: u32,
+        bend_penalty: u32,
+        start: (i64, i64),
+        goal: (i64, i64),
+        window: Option<Window>,
+        meter: &mut Meter,
+        cost: impl Fn(usize) -> Option<u32>,
+    ) -> Option<Vec<(i64, i64)>> {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Stamps from before the wrap would read as current.
+            self.best.fill(0);
+            self.generation = 1;
+        }
+        let stamp = u64::from(self.generation) << 32;
+        self.heap.clear();
+
+        let (x0, y0, x1, y1) = window.unwrap_or((0, 0, grid.cols - 1, grid.rows - 1));
+        let (x0, y0) = (x0.max(0), y0.max(0));
+        let (x1, y1) = (x1.min(grid.cols - 1), y1.min(grid.rows - 1));
+        debug_assert!((x0..=x1).contains(&start.0) && (y0..=y1).contains(&start.1));
+        let cols = grid.cols as usize;
+        let steps = [1, -1, cols as isize, -(cols as isize)];
+        let h = |cx: i64, cy: i64| -> u32 {
+            (((cx - goal.0).abs() + (cy - goal.1).abs()) as u32) * step_cost
+        };
+        let key = |f: u32, state: usize| Reverse(u64::from(f) << 32 | state as u64);
+
+        let start_state = grid.index(start.0, start.1) * 5 + START;
+        self.best[start_state] = stamp;
+        self.heap.push(key(h(start.0, start.1), start_state));
+
+        let mut last_f = 0;
+        while let Some(Reverse(popped)) = self.heap.pop() {
+            if meter.check().is_err() {
+                return None;
+            }
+            self.expanded += 1;
+            let f = (popped >> 32) as u32;
+            // The heuristic is consistent (one step lowers it by at most
+            // `step_cost`), so popped keys never decrease.
+            debug_assert!(f >= last_f, "popped f {f} after {last_f}");
+            last_f = f;
+            let s = popped as u32 as usize;
+            let (cell, dir) = (s / 5, s % 5);
+            let (cx, cy) = ((cell % cols) as i64, (cell / cols) as i64);
+            if (cx, cy) == goal {
+                return Some(self.path(s, goal, cols));
+            }
+            // An outdated entry re-expands with the state's current cost;
+            // it pushes nothing but still counts as a pop.
+            let g = self.best[s] as u32;
+            let open = [cx < x1, cx > x0, cy < y1, cy > y0];
+            for (d, &(dx, dy)) in DIRS.iter().enumerate() {
+                if !open[d] {
+                    continue;
+                }
+                let ncell = cell.wrapping_add_signed(steps[d]);
+                let Some(extra) = cost(ncell) else {
+                    continue;
+                };
+                let bend = if dir != START && dir != d {
+                    bend_penalty
+                } else {
+                    0
+                };
+                let ng = g
+                    .saturating_add(step_cost)
+                    .saturating_add(bend)
+                    .saturating_add(extra);
+                let ns = ncell * 5 + d;
+                let known = self.best[ns];
+                let known = if known >= stamp {
+                    known as u32
+                } else {
+                    u32::MAX
+                };
+                if ng < known {
+                    self.best[ns] = stamp | u64::from(ng);
+                    self.prev[ns] = dir as u8;
+                    self.heap
+                        .push(key(ng.saturating_add(h(cx + dx, cy + dy)), ns));
+                }
+            }
+        }
+        None
+    }
+
+    /// Walks the heading back-pointers from the goal state `s` to the
+    /// start, returning the cells start-first.
+    fn path(&self, mut s: usize, goal: (i64, i64), cols: usize) -> Vec<(i64, i64)> {
+        let (mut x, mut y) = goal;
+        let mut path = vec![goal];
+        while s % 5 != START {
+            let (dx, dy) = DIRS[s % 5];
+            (x, y) = (x - dx, y - dy);
+            s = (y as usize * cols + x as usize) * 5 + usize::from(self.prev[s]);
+            path.push((x, y));
+        }
+        path.reverse();
+        path
+    }
+}
+
+/// The cells one net may enter despite blockage: its endpoint escape zones
+/// and its own routed cells. One buffer serves every net of a route call;
+/// [`FreeCells::clear`] resets only the cells that were set.
+pub(crate) struct FreeCells {
+    mask: Vec<bool>,
+    set: Vec<usize>,
+}
+
+impl FreeCells {
+    pub(crate) fn new(grid: &RoutingGrid) -> Self {
+        FreeCells {
+            mask: vec![false; grid.blocked.len()],
+            set: Vec::new(),
+        }
+    }
+
+    /// Marks `cell` free; true when it was not free before.
+    pub(crate) fn insert(&mut self, cell: usize) -> bool {
+        let fresh = !self.mask[cell];
+        if fresh {
+            self.mask[cell] = true;
+            self.set.push(cell);
+        }
+        fresh
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, cell: usize) -> bool {
+        self.mask[cell]
+    }
+
+    pub(crate) fn clear(&mut self) {
+        for &cell in &self.set {
+            self.mask[cell] = false;
+        }
+        self.set.clear();
+    }
 }
 
 /// Collapses collinear runs in a waypoint list.
@@ -330,30 +430,31 @@ impl Router for AStarRouter {
         };
         order.sort_by_key(|&i| estimate(i));
 
+        let mut grid = RoutingGrid::from_device(device, self.config.cell, self.config.clearance);
+        let mut search = Search::new(&grid);
+        let mut free = FreeCells::new(&grid);
+        let mut pass = |order: &[usize]| {
+            self.route_in_order(compiled, order, &mut grid, &mut search, &mut free)
+        };
+
         // Rip-up and re-route: when nets fail because earlier routes walled
         // them in, retry from scratch with the failed nets promoted to the
         // front of the order.
         let mut ripup_rounds = 0u64;
-        let mut best = self.route_in_order(compiled, &order);
+        let mut best = pass(&order);
         for _ in 0..self.config.reroute_attempts {
             // A tripped budget makes every further pass fail immediately;
             // keep the partial result from the pass that did real work.
             if best.failed.is_empty() || parchmint_resilience::interruption().is_some() {
                 break;
             }
-            let failed: Vec<usize> = order
+            let failed_ids: HashSet<&ConnectionId> = best.failed.iter().collect();
+            let (failed, rest): (Vec<usize>, Vec<usize>) = order
                 .iter()
-                .copied()
-                .filter(|&i| best.failed.contains(&device.connections[i].id))
-                .collect();
-            let rest: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|i| !failed.contains(i))
-                .collect();
+                .partition(|&&i| failed_ids.contains(&device.connections[i].id));
             order = failed.into_iter().chain(rest).collect();
             ripup_rounds += 1;
-            let retry = self.route_in_order(compiled, &order);
+            let retry = pass(&order);
             if retry.failed.len() < best.failed.len() {
                 best = retry;
             } else {
@@ -370,13 +471,23 @@ impl Router for AStarRouter {
 }
 
 impl AStarRouter {
-    fn route_in_order(&self, compiled: &CompiledDevice, order: &[usize]) -> RoutingResult {
+    /// One sequential pass in `order`. Starts by clearing the previous
+    /// pass's net blockage from `grid`.
+    fn route_in_order(
+        &self,
+        compiled: &CompiledDevice,
+        order: &[usize],
+        grid: &mut RoutingGrid,
+        search: &mut Search,
+        free: &mut FreeCells,
+    ) -> RoutingResult {
         let device = compiled.device();
-        let mut grid = RoutingGrid::new(device, &self.config);
+        for flags in &mut grid.blocked {
+            *flags &= !BLOCK_NET;
+        }
         let mut result = RoutingResult::default();
-        let n_cells = (grid.cols * grid.rows) as usize;
         let tracing = parchmint_obs::enabled();
-        let mut total_expanded = 0u64;
+        let pass_start = search.expanded;
         let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
         for &i in order {
             let connection = &device.connections[i];
@@ -395,36 +506,39 @@ impl AStarRouter {
             }
 
             let src_cell = grid.cell_of(src);
-            let mut free_override = vec![false; n_cells];
             for c in grid.disc(src_cell, 2) {
-                free_override[c] = true;
+                free.insert(c);
             }
 
             let mut branches: Vec<Vec<Point>> = Vec::with_capacity(sinks.len());
             let mut net_cells: Vec<usize> = Vec::new();
-            let mut net_expanded = 0u64;
+            let net_start = search.expanded;
             let mut ok = true;
             for &sink in &sinks {
                 let sink_cell = grid.cell_of(sink);
                 for c in grid.disc(sink_cell, 2) {
-                    free_override[c] = true;
+                    free.insert(c);
                 }
-                // The net's own cells are free for later branches (merging).
-                match astar(
-                    &grid,
-                    &self.config,
+                // A cell is passable when nothing blocks it or it is one of
+                // this net's free cells: an endpoint escape zone, or a cell
+                // of an earlier branch (branches merge).
+                let passable = |c: usize| (free.contains(c) || grid.blocked[c] == 0).then_some(0);
+                match search.run(
+                    grid,
+                    self.config.step_cost,
+                    self.config.bend_penalty,
                     src_cell,
                     sink_cell,
-                    &free_override,
-                    &mut net_expanded,
+                    None,
                     &mut meter,
+                    passable,
                 ) {
                     Some(cells) => {
-                        branches.push(to_waypoints(&grid, src, sink, &cells));
+                        branches.push(to_waypoints(grid, src, sink, &cells));
                         for (cx, cy) in cells {
                             let idx = grid.index(cx, cy);
                             net_cells.push(idx);
-                            free_override[idx] = true;
+                            free.insert(idx);
                         }
                     }
                     None => {
@@ -433,10 +547,10 @@ impl AStarRouter {
                     }
                 }
             }
+            free.clear();
 
-            total_expanded += net_expanded;
             if tracing {
-                parchmint_obs::observe("pnr.route.net_expansions", net_expanded);
+                parchmint_obs::observe("pnr.route.net_expansions", search.expanded - net_start);
             }
             if ok {
                 for idx in net_cells {
@@ -452,7 +566,7 @@ impl AStarRouter {
             }
         }
         if tracing {
-            parchmint_obs::count("pnr.route.expansions", total_expanded);
+            parchmint_obs::count("pnr.route.expansions", search.expanded - pass_start);
         }
         result
     }
@@ -604,5 +718,104 @@ mod tests {
     #[test]
     fn router_name() {
         assert_eq!(AStarRouter::new().name(), "astar");
+    }
+
+    /// A 12×9 grid with a wall at x = 5 open only at y = 0 and y = 8.
+    fn walled_grid() -> RoutingGrid {
+        let (cols, rows) = (12, 9);
+        let mut blocked = vec![0; (cols * rows) as usize];
+        for y in 1..rows - 1 {
+            blocked[(y * cols + 5) as usize] = BLOCK_COMPONENT;
+        }
+        RoutingGrid {
+            cols,
+            rows,
+            cell: 200,
+            blocked,
+        }
+    }
+
+    /// Uneven entry costs, so ties and detours depend on every cell.
+    fn uneven(grid: &RoutingGrid) -> impl Fn(usize) -> Option<u32> + '_ {
+        |c| (grid.blocked[c] == 0).then_some((c * 7 % 5) as u32)
+    }
+
+    fn run(
+        search: &mut Search,
+        grid: &RoutingGrid,
+        start: (i64, i64),
+        goal: (i64, i64),
+        window: Option<Window>,
+    ) -> (Option<Vec<(i64, i64)>>, u64) {
+        let before = search.expanded;
+        let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
+        let path = search.run(grid, 10, 30, start, goal, window, &mut meter, uneven(grid));
+        (path, search.expanded - before)
+    }
+
+    #[test]
+    fn a_reused_search_matches_a_fresh_one() {
+        let grid = walled_grid();
+        let queries = [
+            ((0, 4), (11, 4), None),
+            ((2, 2), (3, 7), Some((1, 1, 4, 8))),
+            ((11, 0), (0, 8), Some((0, 0, 11, 8))),
+            // Boxed in by the wall: the bounded search fails.
+            ((1, 4), (9, 4), Some((1, 2, 9, 6))),
+            ((9, 7), (6, 1), None),
+        ];
+        let mut reused = Search::new(&grid);
+        for (start, goal, window) in queries {
+            // Every query follows a search stopped by a tripped meter.
+            let stopped = parchmint_resilience::Budget::unlimited()
+                .with_fuel(3)
+                .enter(|| {
+                    let mut meter = Meter::new(1);
+                    reused.run(
+                        &grid,
+                        10,
+                        30,
+                        (0, 0),
+                        (11, 8),
+                        None,
+                        &mut meter,
+                        uneven(&grid),
+                    )
+                });
+            assert_eq!(stopped, None);
+            let got = run(&mut reused, &grid, start, goal, window);
+            let want = run(&mut Search::new(&grid), &grid, start, goal, window);
+            assert_eq!(got, want, "{start:?} -> {goal:?} in {window:?}");
+        }
+        let (around, _) = run(&mut reused, &grid, (0, 4), (11, 4), None);
+        let around = around.expect("the wall has gaps");
+        assert_eq!((around[0], around[around.len() - 1]), ((0, 4), (11, 4)));
+        assert!(around.iter().any(|&(x, y)| x == 5 && (y == 0 || y == 8)));
+        let (boxed, _) = run(&mut reused, &grid, (1, 4), (9, 4), Some((1, 2, 9, 6)));
+        assert_eq!(boxed, None);
+    }
+
+    #[test]
+    fn a_window_hanging_off_the_grid_is_clamped() {
+        let grid = walled_grid();
+        let mut search = Search::new(&grid);
+        let whole = run(&mut search, &grid, (0, 4), (11, 4), None);
+        assert!(whole.0.is_some());
+        let oversized = run(&mut search, &grid, (0, 4), (11, 4), Some((-9, -9, 40, 40)));
+        assert_eq!(oversized, whole);
+        let off_left = run(&mut search, &grid, (2, 1), (4, 7), Some((-3, 0, 4, 30)));
+        let clamped = run(&mut search, &grid, (2, 1), (4, 7), Some((0, 0, 4, 8)));
+        assert_eq!(off_left, clamped);
+        assert!(off_left.0.is_some());
+    }
+
+    #[test]
+    fn start_at_goal_is_a_one_cell_path() {
+        let grid = walled_grid();
+        let mut search = Search::new(&grid);
+        assert_eq!(
+            run(&mut search, &grid, (3, 3), (3, 3), None),
+            (Some(vec![(3, 3)]), 1)
+        );
     }
 }

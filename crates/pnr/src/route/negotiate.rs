@@ -11,11 +11,14 @@
 //! cannot: no single routing order has to be right, because the prices
 //! carry information between passes.
 //!
-//! Two raw-speed features keep dense FPVA-class grids tractable:
-//! component blockage is a bit-packed mask (one bit per cell, 64 cells per
-//! word), and each net's expansion is bounded to its terminal bounding box
-//! inflated by a margin, widening to the whole grid only when the bounded
-//! pass fails.
+//! Every search runs the grid kernel the A* router also uses
+//! (`grid::Search`), whose stamped scratch serves every net of one route
+//! call. Its cost closure reads a per-cell cost table holding
+//! `history + occupancy * pres_fac`, refreshed for every cell when
+//! `pres_fac` or `history` changes and for a net's own cells when it is
+//! ripped up or committed, so pricing a neighbour is one table read. Each
+//! net's expansion is bounded to its terminal bounding box inflated by a
+//! margin, widening to the whole grid only when the bounded pass fails.
 //!
 //! The returned routing is always *legal* (cell-disjoint outside endpoint
 //! escape zones): after negotiation a hardening pass keeps every net whose
@@ -27,13 +30,11 @@
 //! last completed iteration — the caller always receives the best fully
 //! legal routing reached so far.
 
-use super::grid::{to_waypoints, RoutingGrid, BLOCK_COMPONENT, DIRS, ROUTE_CHECK_INTERVAL};
+use super::grid::{to_waypoints, FreeCells, RoutingGrid, Search, Window, ROUTE_CHECK_INTERVAL};
 use super::{RoutedNet, Router, RoutingResult};
 use parchmint::geometry::Point;
 use parchmint::{CompiledDevice, ConnectionId};
 use parchmint_resilience::Meter;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Tuning knobs for [`NegotiatedRouter`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,28 +93,6 @@ impl NegotiatedRouter {
     }
 }
 
-/// One bit per grid cell, 64 cells per word.
-struct BitGrid {
-    words: Vec<u64>,
-}
-
-impl BitGrid {
-    fn new(cells: usize) -> Self {
-        BitGrid {
-            words: vec![0; cells.div_ceil(64)],
-        }
-    }
-
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-}
-
 /// Per-net negotiation state.
 struct NetState {
     /// Index into `device.connections` (declaration order).
@@ -134,176 +113,77 @@ struct NetState {
     routed: bool,
 }
 
-/// Expansion window in cell coordinates: `(x0, y0, x1, y1)` inclusive.
-type Window = (i64, i64, i64, i64);
-
 struct Negotiation<'a> {
     grid: &'a RoutingGrid,
     config: &'a NegotiatedRouterConfig,
-    /// Bit-packed component blockage (clearance-inflated footprints).
-    obstacles: BitGrid,
     /// Number of nets currently claiming each cell.
     occupancy: Vec<u32>,
     /// Accumulated per-cell history cost across iterations.
     history: Vec<u32>,
-    /// Total heap pops across all searches (trace counter).
-    expanded: u64,
+    /// The present-sharing penalty of the current iteration.
+    pres_fac: u32,
+    /// Per cell, `history + occupancy * pres_fac` (saturating), or `None`
+    /// where a component blocks the cell. Kept current for every cell a
+    /// negotiated search can read.
+    cost: Vec<Option<u32>>,
+    /// The escape zones and own cells of the net being routed; cleared
+    /// when the next net starts.
+    free: FreeCells,
+    kernel: Search,
 }
 
 impl Negotiation<'_> {
-    /// A* over the grid with negotiated costs. In negotiation mode
-    /// (`hard == false`) occupied cells stay passable but cost
-    /// `occupancy * pres_fac + history` extra; in hardening mode occupied
-    /// cells are impassable and no negotiation costs apply. `window`
-    /// bounds the expansion; `free_override` marks this net's endpoint
-    /// escape zones and its own already-routed cells.
-    #[allow(clippy::too_many_arguments)] // the one shared search kernel
-    fn search(
-        &mut self,
-        start: (i64, i64),
-        goal: (i64, i64),
-        free_override: &[bool],
-        pres_fac: u32,
-        window: Option<Window>,
-        hard: bool,
-        meter: &mut Meter,
-    ) -> Option<Vec<(i64, i64)>> {
-        let grid = self.grid;
-        let config = self.config;
-        let n = (grid.cols * grid.rows) as usize;
-        let state = |cell: usize, dir: usize| cell * 5 + dir;
-        let mut best = vec![u32::MAX; n * 5];
-        let mut prev: Vec<u32> = vec![u32::MAX; n * 5];
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-
-        let in_window = |cx: i64, cy: i64| match window {
-            Some((x0, y0, x1, y1)) => cx >= x0 && cy >= y0 && cx <= x1 && cy <= y1,
-            None => true,
-        };
-        let h = |cx: i64, cy: i64| -> u32 {
-            (((cx - goal.0).abs() + (cy - goal.1).abs()) as u32) * config.step_cost
-        };
-
-        let start_state = state(grid.index(start.0, start.1), 4);
-        best[start_state] = 0;
-        heap.push(Reverse((h(start.0, start.1), start_state as u32)));
-
-        while let Some(Reverse((_, s))) = heap.pop() {
-            if meter.check().is_err() {
-                return None;
-            }
-            self.expanded += 1;
-            let s = s as usize;
-            let cell = s / 5;
-            let dir = s % 5;
-            let (cx, cy) = ((cell as i64) % grid.cols, (cell as i64) / grid.cols);
-            if (cx, cy) == goal {
-                let mut path = vec![(cx, cy)];
-                let mut cur = s;
-                while prev[cur] != u32::MAX {
-                    cur = prev[cur] as usize;
-                    let c = cur / 5;
-                    let p = ((c as i64) % grid.cols, (c as i64) / grid.cols);
-                    if path.last() != Some(&p) {
-                        path.push(p);
-                    }
-                }
-                path.reverse();
-                return Some(path);
-            }
-            let g = best[s];
-            for (d, (dx, dy)) in DIRS.iter().enumerate() {
-                let (nx, ny) = (cx + dx, cy + dy);
-                if !grid.in_bounds(nx, ny) || !in_window(nx, ny) {
-                    continue;
-                }
-                let ncell = grid.index(nx, ny);
-                if !free_override[ncell] {
-                    if self.obstacles.get(ncell) {
-                        continue;
-                    }
-                    if hard && self.occupancy[ncell] > 0 {
-                        continue;
-                    }
-                }
-                let congestion = if hard || free_override[ncell] {
-                    0
-                } else {
-                    self.history[ncell]
-                        .saturating_add(self.occupancy[ncell].saturating_mul(pres_fac))
-                };
-                let bend = if dir != 4 && dir != d {
-                    config.bend_penalty
-                } else {
-                    0
-                };
-                let ng = g
-                    .saturating_add(config.step_cost)
-                    .saturating_add(bend)
-                    .saturating_add(congestion);
-                let ns = state(ncell, d);
-                if ng < best[ns] {
-                    best[ns] = ng;
-                    prev[ns] = s as u32;
-                    heap.push(Reverse((ng.saturating_add(h(nx, ny)), ns as u32)));
-                }
-            }
-        }
-        None
+    fn refresh(&mut self, cell: usize) {
+        self.cost[cell] = (self.grid.blocked[cell] == 0).then(|| {
+            self.history[cell].saturating_add(self.occupancy[cell].saturating_mul(self.pres_fac))
+        });
     }
 
     /// Routes every sink of one net, bounded-then-unbounded, returning the
     /// waypoint branches and the deduped non-escape path cells. The net
     /// must already be ripped up (its cells out of the occupancy map).
-    fn route_net(
+    /// `HARD` selects hardening over negotiation; as a constant it gives
+    /// each mode its own copy of the search loop.
+    fn route_net<const HARD: bool>(
         &mut self,
         net: &NetState,
-        pres_fac: u32,
-        hard: bool,
         meter: &mut Meter,
     ) -> Option<(Vec<Vec<Point>>, Vec<usize>)> {
-        let n = (self.grid.cols * self.grid.rows) as usize;
         // Escape cells start out free, so the commit loop below never
         // charges them to this net's occupancy.
-        let mut free_override = vec![false; n];
+        self.free.clear();
         for &c in &net.escape {
-            free_override[c] = true;
+            self.free.insert(c);
         }
 
+        let (grid, step, bend) = (self.grid, self.config.step_cost, self.config.bend_penalty);
         let mut branches = Vec::with_capacity(net.sinks.len());
         let mut cells: Vec<usize> = Vec::new();
         for (sink, &sink_cell) in net.sinks.iter().zip(&net.sink_cells) {
-            let window = self.window_for(net.src_cell, sink_cell);
-            let found = self
-                .search(
-                    net.src_cell,
-                    sink_cell,
-                    &free_override,
-                    pres_fac,
-                    Some(window),
-                    hard,
-                    meter,
-                )
-                .or_else(|| {
-                    // The bounded pass can fail inside a congested window
-                    // even though free silicon exists outside it; widen to
-                    // the whole grid before giving up on the sink.
-                    self.search(
-                        net.src_cell,
-                        sink_cell,
-                        &free_override,
-                        pres_fac,
-                        None,
-                        hard,
-                        meter,
-                    )
-                })?;
+            let bounds = self.window_for(net.src_cell, sink_cell);
+            // The net's free cells cost nothing. Elsewhere negotiation
+            // prices a cell from the table; hardening makes occupied cells
+            // impassable and charges nothing else.
+            let (free, occupancy, cost) = (&self.free, &self.occupancy, &self.cost);
+            let price = |c: usize| match (free.contains(c), HARD) {
+                (true, _) => Some(0),
+                (false, true) => (grid.blocked[c] == 0 && occupancy[c] == 0).then_some(0),
+                (false, false) => cost[c],
+            };
+            let mut search = |window| {
+                let (start, goal) = (net.src_cell, sink_cell);
+                self.kernel
+                    .run(grid, step, bend, start, goal, window, meter, price)
+            };
+            // The bounded pass can fail inside a congested window even
+            // though free silicon exists outside it; widen to the whole
+            // grid before giving up on the sink.
+            let found = search(Some(bounds)).or_else(|| search(None))?;
             branches.push(to_waypoints(self.grid, net.src, *sink, &found));
             for (cx, cy) in found {
                 let idx = self.grid.index(cx, cy);
                 // Own cells become free for later branches (trunk sharing).
-                if !free_override[idx] {
-                    free_override[idx] = true;
+                if self.free.insert(idx) {
                     cells.push(idx);
                 }
             }
@@ -324,6 +204,7 @@ impl Negotiation<'_> {
     fn rip_up(&mut self, net: &mut NetState) {
         for &c in &net.cells {
             self.occupancy[c] = self.occupancy[c].saturating_sub(1);
+            self.refresh(c);
         }
         net.cells.clear();
         net.branches.clear();
@@ -333,6 +214,7 @@ impl Negotiation<'_> {
     fn commit(&mut self, net: &mut NetState, branches: Vec<Vec<Point>>, cells: Vec<usize>) {
         for &c in &cells {
             self.occupancy[c] += 1;
+            self.refresh(c);
         }
         net.branches = branches;
         net.cells = cells;
@@ -359,14 +241,7 @@ impl Router for NegotiatedRouter {
         parchmint_resilience::fault::inject("pnr.route");
         let device = compiled.device();
         let grid = RoutingGrid::from_device(device, self.config.cell, self.config.clearance);
-        let n_cells = (grid.cols * grid.rows) as usize;
-
-        let mut obstacles = BitGrid::new(n_cells);
-        for (i, &flags) in grid.blocked.iter().enumerate() {
-            if flags & BLOCK_COMPONENT != 0 {
-                obstacles.set(i);
-            }
-        }
+        let n_cells = grid.blocked.len();
 
         // Per-net state; nets with unplaced terminals fail up front.
         let mut failed: Vec<(usize, ConnectionId)> = Vec::new();
@@ -418,10 +293,12 @@ impl Router for NegotiatedRouter {
         let mut negotiation = Negotiation {
             grid: &grid,
             config: &self.config,
-            obstacles,
             occupancy: vec![0; n_cells],
             history: vec![0; n_cells],
-            expanded: 0,
+            pres_fac: 0,
+            cost: vec![None; n_cells],
+            free: FreeCells::new(&grid),
+            kernel: Search::new(&grid),
         };
         let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
         let tracing = parchmint_obs::enabled();
@@ -434,16 +311,19 @@ impl Router for NegotiatedRouter {
             iterations = u64::from(iteration) + 1;
             // The present-sharing penalty doubles each iteration, capped so
             // the saturating cost arithmetic stays far from overflow.
-            let pres_fac = self
+            negotiation.pres_fac = self
                 .config
                 .present_cost
                 .saturating_mul(1u32 << iteration.min(16))
                 .min(1 << 20);
+            // Reprice every cell for the new penalty and last iteration's
+            // history.
+            for cell in 0..n_cells {
+                negotiation.refresh(cell);
+            }
             for net in nets.iter_mut() {
                 negotiation.rip_up(net);
-                if let Some((branches, cells)) =
-                    negotiation.route_net(net, pres_fac, false, &mut meter)
-                {
+                if let Some((branches, cells)) = negotiation.route_net::<false>(net, &mut meter) {
                     negotiation.commit(net, branches, cells);
                 }
             }
@@ -473,7 +353,7 @@ impl Router for NegotiatedRouter {
             .iter()
             .map(|net| net.routed && net.cells.iter().all(|&c| negotiation.occupancy[c] == 1))
             .collect();
-        negotiation.occupancy = vec![0; n_cells];
+        negotiation.occupancy.fill(0);
         for (net, &kept) in nets.iter().zip(&keep) {
             if kept {
                 for &c in &net.cells {
@@ -496,7 +376,7 @@ impl Router for NegotiatedRouter {
                 ));
                 continue;
             }
-            match negotiation.route_net(net, 0, true, &mut meter) {
+            match negotiation.route_net::<true>(net, &mut meter) {
                 Some((branches, cells)) => {
                     hard_rerouted += 1;
                     for &c in &cells {
@@ -517,12 +397,15 @@ impl Router for NegotiatedRouter {
 
         if tracing {
             parchmint_obs::count("pnr.route.negotiate.iterations", iterations);
-            parchmint_obs::count("pnr.route.negotiate.expansions", negotiation.expanded);
+            parchmint_obs::count(
+                "pnr.route.negotiate.expansions",
+                negotiation.kernel.expanded,
+            );
             parchmint_obs::count("pnr.route.negotiate.hard_rerouted", hard_rerouted);
             parchmint_obs::count("pnr.route.ripup_rounds", iterations.saturating_sub(1));
             parchmint_obs::count("pnr.route.routed", routed.len() as u64);
             parchmint_obs::count("pnr.route.failed", failed.len() as u64);
-            parchmint_obs::count("pnr.route.expansions", negotiation.expanded);
+            parchmint_obs::count("pnr.route.expansions", negotiation.kernel.expanded);
         }
 
         // Report in connection declaration order, like the other routers.
