@@ -13,10 +13,10 @@
 //!
 //! Design points:
 //!
-//! - **Worker pool without dependencies.** The sweep fans benchmarks across
-//!   `std::thread::scope` workers pulling from a shared index queue; no
-//!   external thread-pool crate is needed, and results are sorted after the
-//!   join so reports are identical for any thread count.
+//! - **Worker pool without dependencies.** The sweep hands single cells,
+//!   largest design first, to [`shard_map`]'s `std::thread::scope`
+//!   workers; no external thread-pool crate is needed, and results are
+//!   sorted after the join so reports are identical for any thread count.
 //! - **Panic isolation.** Every stage runs under `catch_unwind`; a panicking
 //!   stage (or device generator) marks that cell `failed` with the panic
 //!   message and the sweep carries on.

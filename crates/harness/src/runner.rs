@@ -1,20 +1,22 @@
 //! The parallel sweep: benchmarks × stages across a scoped worker pool.
 //!
-//! The runner owns only the *batch* concerns — fanning benchmarks across
-//! a worker pool, collecting cells, and rendering a deterministic report.
+//! The runner owns only the *batch* concerns — compiling each benchmark
+//! once, handing single cells to the [`shard_map`] pool largest design
+//! first, and rendering a deterministic report.
 //! How a single stage executes (budgets, retries, panic isolation,
 //! severity mapping) lives in [`crate::engine`], which the `parchmint
 //! serve` daemon shares; this module is one client of that engine.
 
-use crate::engine::{self, ExecPolicy};
+use crate::batch::shard_map;
+use crate::engine::{self, CompileExec, ExecPolicy};
 use crate::matrix;
 use crate::report::{Cell, CellStatus, SuiteReport};
 use crate::stage::Stage;
-use parchmint_obs::TraceSummary;
 use parchmint_resilience::FaultPlan;
 use parchmint_suite::Benchmark;
+use std::cmp::Reverse;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 pub use crate::engine::MAX_ATTEMPTS;
@@ -232,76 +234,72 @@ pub fn run_suite(config: &SuiteRunConfig) -> SuiteReport {
 /// Sweeps `benchmarks` through `stages` under `config` — the single
 /// entry point both [`run_suite`] and direct matrix callers share.
 ///
-/// The pool is a `std::thread::scope` over a shared index queue — no
-/// external crates. Cell order in the result is sorted (benchmark name,
-/// then stage order), so the report is independent of scheduling. When
-/// `config` requests tracing, every compile and every stage runs under
-/// its own event collector and the report carries the aggregated
-/// summaries.
+/// Both phases run on the [`shard_map`] pool. Phase 1 generates and
+/// compiles every row once, under that row's slice of the fault plan.
+/// Phase 2 runs every cell — one row × one stage — through
+/// [`engine::execute_stage`] on the row's shared compiled device, handing
+/// out the largest design's cells first (components plus connections,
+/// stages in matrix order). The longest routing chain thus starts at
+/// once, and a one-design sweep still uses every worker. A row whose
+/// compile panicked fails each of its cells, explained. Cell order in the
+/// result is sorted (benchmark name, then stage order), so the report is
+/// independent of scheduling. When `config` requests tracing, every
+/// compile and every stage runs under its own event collector and the
+/// report carries the aggregated summaries.
 pub fn run_matrix(
     benchmarks: &[Benchmark],
     stages: &[Stage],
     config: &SuiteRunConfig,
 ) -> SuiteReport {
     let started = Instant::now();
+    let tracing = config.trace().is_some();
+    let policy = config.exec_policy();
     let workers = if config.threads() == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         config.threads()
     }
-    .clamp(1, benchmarks.len().max(1));
+    .clamp(1, (benchmarks.len() * stages.len()).max(1));
 
-    let next: Mutex<usize> = Mutex::new(0);
-    let collected: Mutex<Vec<Cell>> = Mutex::new(Vec::new());
-    let compile_walls: Mutex<Vec<(String, Duration)>> = Mutex::new(Vec::new());
-    let compile_traces: Mutex<Vec<(String, TraceSummary)>> = Mutex::new(Vec::new());
-
-    // The default panic hook would spam stderr with a backtrace for every
-    // isolated stage failure; silence it for the sweep and restore after.
-    let prior_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = {
-                    let mut next = next.lock().expect("queue lock");
-                    let index = *next;
-                    *next += 1;
-                    index
-                };
-                let Some(benchmark) = benchmarks.get(index) else {
-                    break;
-                };
-                let evaluated = evaluate_benchmark(benchmark, stages, config);
-                collected
-                    .lock()
-                    .expect("result lock")
-                    .extend(evaluated.cells);
-                if let Some(wall) = evaluated.compile_wall {
-                    compile_walls
-                        .lock()
-                        .expect("compile-time lock")
-                        .push((benchmark.name().to_string(), wall));
-                }
-                if let Some(trace) = evaluated.compile_trace {
-                    compile_traces
-                        .lock()
-                        .expect("compile-trace lock")
-                        .push((benchmark.name().to_string(), trace));
-                }
-            });
+    let rows = shard_map(benchmarks, workers, |_, benchmark| {
+        let name = benchmark.name().to_string();
+        let faults = config.faults().and_then(|plan| {
+            let slice = plan.for_benchmark(&name);
+            (!slice.is_empty()).then(|| Arc::new(slice))
+        });
+        let compile =
+            quietly(|| engine::compile_device(|| benchmark.device(), faults.as_ref(), tracing));
+        Row {
+            name,
+            faults,
+            compile,
         }
     });
 
-    std::panic::set_hook(prior_hook);
+    let mut order: Vec<&Row> = rows.iter().collect();
+    order.sort_by_key(|row| Reverse(row.size()));
+    let tasks: Vec<(&Row, &Stage)> = order
+        .into_iter()
+        .flat_map(|row| stages.iter().map(move |stage| (row, stage)))
+        .collect();
+    let cells = shard_map(&tasks, workers, |_, (row, stage)| {
+        quietly(|| row.run(stage, &policy, tracing))
+    });
 
-    let mut compile_walls = compile_walls.into_inner().expect("compile-time lock");
+    let mut compile_walls = Vec::new();
+    let mut compile_traces = Vec::new();
+    for row in rows {
+        if row.compile.compiled.is_ok() {
+            compile_walls.push((row.name.clone(), row.compile.wall));
+        }
+        if let Some(trace) = row.compile.trace {
+            compile_traces.push((row.name, trace));
+        }
+    }
     compile_walls.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut compile_traces = compile_traces.into_inner().expect("compile-trace lock");
     compile_traces.sort_by(|a, b| a.0.cmp(&b.0));
     let mut report = SuiteReport {
-        cells: collected.into_inner().expect("result lock"),
+        cells,
         stages: stages.iter().map(|s| s.name.clone()).collect(),
         threads: workers,
         total_wall: started.elapsed(),
@@ -312,83 +310,84 @@ pub fn run_matrix(
     report
 }
 
-/// What [`evaluate_benchmark`] hands back for one benchmark row.
-struct EvaluatedBenchmark {
-    cells: Vec<Cell>,
-    /// Generate+compile wall time; absent when generation panicked.
-    compile_wall: Option<Duration>,
-    /// Events recorded during generate+compile; absent unless tracing.
-    compile_trace: Option<TraceSummary>,
+/// One benchmark row after phase 1: its slice of the fault plan and its
+/// compiled device, kept until the sweep ends.
+struct Row {
+    name: String,
+    faults: Option<Arc<FaultPlan>>,
+    compile: CompileExec,
 }
 
-/// Runs the whole stage list on one benchmark, isolating each stage.
-///
-/// The device is generated and compiled into its shared view exactly once
-/// via [`engine::compile_device`]; every stage then borrows the same
-/// interned index and runs through [`engine::execute_stage`] under the
-/// configuration's [`ExecPolicy`] and the benchmark's slice of the fault
-/// plan. The severity→status mapping, panic isolation, and the
-/// deterministic attempt/seed retry schedule all live in the engine — the
-/// daemon's workers share them verbatim.
-fn evaluate_benchmark(
-    benchmark: &Benchmark,
-    stages: &[Stage],
-    config: &SuiteRunConfig,
-) -> EvaluatedBenchmark {
-    let tracing = config.trace().is_some();
-    let name = benchmark.name().to_string();
-    let plan: Option<Arc<FaultPlan>> = config.faults().and_then(|plan| {
-        let slice = plan.for_benchmark(&name);
-        (!slice.is_empty()).then(|| Arc::new(slice))
-    });
-
-    let compile = engine::compile_device(|| benchmark.device(), plan.as_ref(), tracing);
-    let compiled = match compile.compiled {
-        Ok(compiled) => compiled,
-        Err(message) => {
-            // Generator panicked: every cell of this row fails, explained.
-            let cells = stages
-                .iter()
-                .map(|stage| Cell {
-                    benchmark: name.clone(),
-                    stage: stage.name.clone(),
-                    status: CellStatus::Failed,
-                    detail: Some(format!("device generation panicked: {message}")),
-                    metrics: Default::default(),
-                    wall: compile.wall,
-                    trace: None,
-                })
-                .collect();
-            return EvaluatedBenchmark {
-                cells,
-                compile_wall: None,
-                compile_trace: compile.trace,
-            };
-        }
-    };
-
-    let policy = config.exec_policy();
-    let cells = stages
-        .iter()
-        .map(|stage| {
-            let started = Instant::now();
-            let exec = engine::execute_stage(stage, &compiled, &policy, plan.as_ref(), tracing);
-            Cell {
-                benchmark: name.clone(),
-                stage: stage.name.clone(),
-                status: exec.status,
-                detail: exec.detail,
-                metrics: exec.metrics,
-                wall: started.elapsed(),
-                trace: exec.trace,
-            }
+impl Row {
+    /// The dispatch weight: components plus connections, 0 when the
+    /// compile panicked. Routing cost grows faster than design size, so
+    /// the largest design's cells are the longest jobs.
+    fn size(&self) -> usize {
+        self.compile.compiled.as_ref().map_or(0, |compiled| {
+            compiled.component_count() + compiled.connection_count()
         })
-        .collect();
-    EvaluatedBenchmark {
-        cells,
-        compile_wall: Some(compile.wall),
-        compile_trace: compile.trace,
     }
+
+    /// Runs one stage on the row's device. Budgets, retries, panic
+    /// isolation and the status mapping all live in the engine.
+    fn run(&self, stage: &Stage, policy: &ExecPolicy, tracing: bool) -> Cell {
+        let (status, detail, metrics, wall, trace) = match &self.compile.compiled {
+            Ok(compiled) => {
+                let started = Instant::now();
+                let exec =
+                    engine::execute_stage(stage, compiled, policy, self.faults.as_ref(), tracing);
+                let wall = started.elapsed();
+                (exec.status, exec.detail, exec.metrics, wall, exec.trace)
+            }
+            // Generator panicked: every cell of this row fails, explained.
+            Err(message) => (
+                CellStatus::Failed,
+                Some(format!("device generation panicked: {message}")),
+                Default::default(),
+                self.compile.wall,
+                None,
+            ),
+        };
+        Cell {
+            benchmark: self.name.clone(),
+            stage: stage.name.clone(),
+            status,
+            detail,
+            metrics,
+            wall,
+            trace,
+        }
+    }
+}
+
+thread_local! {
+    /// Set while this thread runs sweep work, whose panics the engine
+    /// catches and reports as cells.
+    static QUIET: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `body` with this thread's panics kept off stderr.
+///
+/// The default panic hook would print a message for every isolated stage
+/// failure. The hook is process-global, so it is replaced once, for good,
+/// by one that defers to the prior hook except on threads inside
+/// `quietly`. Swapping it per sweep would silence every thread while a
+/// sweep runs, and two overlapping sweeps could leave the silent hook
+/// installed.
+fn quietly<T>(body: impl FnOnce() -> T) -> T {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let prior = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUIET.get() {
+                prior(info);
+            }
+        }));
+    });
+    let outer = QUIET.replace(true);
+    let result = body();
+    QUIET.set(outer);
+    result
 }
 
 #[cfg(test)]
@@ -398,6 +397,7 @@ mod tests {
     use parchmint_resilience::{FaultKind, FaultSpec, PipelineError};
     use serde_json::Value;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Mutex;
 
     fn tiny_suite() -> Vec<Benchmark> {
         parchmint_suite::suite()
@@ -421,6 +421,41 @@ mod tests {
             .iter()
             .all(|c| c.status == CellStatus::Ok || c.status == CellStatus::Skipped));
         assert!(!report.has_traces(), "no tracing unless configured");
+    }
+
+    #[test]
+    fn cells_run_largest_design_first() {
+        static RAN: Mutex<Vec<String>> = Mutex::new(Vec::new());
+        let names = ["first", "second"];
+        let stages: Vec<Stage> = names
+            .iter()
+            .map(|&name| {
+                Stage::new(name, move |compiled, _| {
+                    let key = format!("{}/{name}", compiled.device().name);
+                    RAN.lock().unwrap().push(key);
+                    Ok(StageOutcome::metrics([("ran", Value::from(true))]))
+                })
+            })
+            .collect();
+        let benchmarks = tiny_suite();
+        run_matrix(&benchmarks, &stages, &untraced(1));
+
+        let size = |benchmark: &Benchmark| {
+            let compiled = parchmint::CompiledDevice::compile(benchmark.device());
+            compiled.component_count() + compiled.connection_count()
+        };
+        let mut by_size = benchmarks.clone();
+        by_size.sort_by_key(|benchmark| Reverse(size(benchmark)));
+        assert_ne!(
+            by_size[0].name(),
+            benchmarks[0].name(),
+            "the fixture must list the larger design second"
+        );
+        let expected: Vec<String> = by_size
+            .iter()
+            .flat_map(|benchmark| names.map(|stage| format!("{}/{stage}", benchmark.name())))
+            .collect();
+        assert_eq!(*RAN.lock().unwrap(), expected);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use parchmint_harness::{
     compare, run_matrix, run_suite, standard_stages, CellStatus, Stage, StageOutcome,
     SuiteRunConfig, Tolerances,
 };
+use parchmint_resilience::{FaultKind, FaultPlan, FaultSpec};
 use serde_json::Value;
 
 fn subset_config(threads: usize) -> SuiteRunConfig {
@@ -31,6 +32,59 @@ fn report_is_byte_identical_across_thread_counts() {
     );
     assert_eq!(serial.threads, 1);
     assert!(parallel.threads > 1, "parallel run used a single worker");
+
+    // One design still spreads its cells over every requested worker.
+    let one = |threads| {
+        run_suite(
+            &SuiteRunConfig::builder()
+                .threads(threads)
+                .benchmarks(["logic_gate_or"])
+                .build(),
+        )
+    };
+    let (serial, parallel) = (one(1), one(2));
+    assert_eq!(
+        serial.to_json_string(false),
+        parallel.to_json_string(false),
+        "stripped one-design reports diverged between 1 and 2 threads"
+    );
+    assert_eq!(parallel.threads, 2, "one-design sweep was clamped");
+}
+
+#[test]
+fn row_whose_compile_panics_fails_every_cell() {
+    let mut plan = FaultPlan::new();
+    plan.push(FaultSpec {
+        benchmark: Some("logic_gate_or".into()),
+        site: "ir.compile".into(),
+        fault: FaultKind::Panic,
+    });
+    let run = |threads| {
+        run_suite(
+            &SuiteRunConfig::builder()
+                .threads(threads)
+                .benchmarks(["logic_gate_or", "rotary_pump_mixer"])
+                .faults(plan.clone())
+                .build(),
+        )
+    };
+    let (serial, parallel) = (run(1), run(2));
+    for report in [&serial, &parallel] {
+        assert_eq!(report.cells.len(), 2 * standard_stages().len());
+        for cell in &report.cells {
+            if cell.benchmark == "logic_gate_or" {
+                assert_eq!(cell.status, CellStatus::Failed, "{}", cell.key());
+                let detail = cell.detail.as_deref().unwrap_or_default();
+                assert!(detail.starts_with("device generation panicked"), "{detail}");
+            } else {
+                assert_eq!(cell.status, CellStatus::Ok, "{}", cell.key());
+            }
+        }
+        let compile = &report.to_json(true)["timing"]["compile"];
+        assert!(compile.get("logic_gate_or").is_none(), "{compile}");
+        assert!(compile.get("rotary_pump_mixer").is_some(), "{compile}");
+    }
+    assert_eq!(serial.to_json_string(false), parallel.to_json_string(false));
 }
 
 #[test]
