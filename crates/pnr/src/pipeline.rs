@@ -367,6 +367,28 @@ mod tests {
     }
 
     #[test]
+    fn an_outline_past_the_grid_limit_falls_back_to_straight_lines() {
+        // 200,000,000 µm a side is 1,000,002² routing cells: past the
+        // search's 32-bit state limit, and a terabyte of blockage flags.
+        let mut huge = parchmint_suite::by_name("logic_gate_or").unwrap().device();
+        huge.set_declared_bounds(parchmint::geometry::Span::square(200_000_000));
+        for router in [RouterChoice::AStar, RouterChoice::Negotiate] {
+            let mut d = huge.clone();
+            let run = place_and_route_resilient(&mut d, PlacerChoice::Greedy, router, 0)
+                .expect("the straight-line fallback routes");
+            let [degradation] = run.degradations.as_slice() else {
+                panic!("{router:?}: {:?}", run.degradations);
+            };
+            assert_eq!(degradation.phase, "route");
+            assert!(
+                degradation.action.contains("fell back to straight-line"),
+                "{router:?}: {}",
+                degradation.action
+            );
+        }
+    }
+
+    #[test]
     fn choices_enumerate() {
         assert_eq!(PlacerChoice::ALL.len(), 2);
         assert_eq!(RouterChoice::ALL.len(), 3);

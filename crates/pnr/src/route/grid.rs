@@ -5,6 +5,14 @@
 //! a clearance) block cells; each net is routed source→sink with a
 //! bend-penalized A*; routed channels block their cells for later nets.
 //! Nets are routed shortest-first, the standard ordering heuristic.
+//!
+//! Routed channels wall sinks in, so many searches have no path. A pure
+//! A* proves that only by popping every state reachable from its source.
+//! The kernel, [`Search`], can instead run a flood out from the goal in
+//! lockstep with the A*, one flood step per heap pop over the same window
+//! and the same passable cells. A flood that runs out of cells without
+//! touching the start proves the goal unreachable, and the search ends at
+//! once with the `None` the A* would have reached by draining its heap.
 
 use super::{RoutedNet, Router, RoutingResult};
 use parchmint::geometry::{Point, Rect};
@@ -92,11 +100,19 @@ impl RoutingGrid {
         let max = bounds.max();
         let cols = (max.x / cell + 2).max(2);
         let rows = (max.y / cell + 2).max(2);
+        // The outline comes from the document, so check the search's state
+        // limit (see `Search::new`) before allocating anything grid-sized.
+        let cells = cols
+            .checked_mul(rows)
+            .filter(|&n| n.checked_mul(5).is_some_and(|s| u32::try_from(s).is_ok()));
+        let Some(cells) = cells else {
+            panic!("routing grid of {cols} x {rows} cells exceeds 32-bit search states");
+        };
         let mut grid = RoutingGrid {
             cols,
             rows,
             cell,
-            blocked: vec![0; (cols * rows) as usize],
+            blocked: vec![0; cells as usize],
         };
         for feature in device.features.iter().filter_map(|f| f.as_component()) {
             grid.block_rect(feature.footprint().inflated(clearance), BLOCK_COMPONENT);
@@ -179,10 +195,16 @@ pub(crate) type Window = (i64, i64, i64, i64);
 /// strictly lower cost and the same heuristic, so keys are unique (two
 /// keys of one state can only match once `f` saturates, as equal values),
 /// and any exact min-queue pops the same sequence.
+///
+/// The goal-side flood of [`Search::run`] keeps its own scratch: `flooded`
+/// holds, per cell, the generation of the last search whose flood reached
+/// it, and `frontier` the cells that flood has still to visit.
 pub(crate) struct Search {
     best: Vec<u64>,
     prev: Vec<u8>,
     heap: BinaryHeap<Reverse<u64>>,
+    flooded: Vec<u32>,
+    frontier: Vec<u32>,
     generation: u32,
     /// Heap pops over every search so far (search effort, for trace
     /// counters).
@@ -200,6 +222,8 @@ impl Search {
             best: vec![0; states],
             prev: vec![0; states],
             heap: BinaryHeap::new(),
+            flooded: vec![0; grid.blocked.len()],
+            frontier: Vec::new(),
             generation: 0,
             expanded: 0,
         }
@@ -211,8 +235,22 @@ impl Search {
     /// the step and bend costs. Both endpoints must lie inside the window.
     /// The meter is checked once per heap pop; a tripped meter ends the
     /// search with `None`.
+    ///
+    /// With `FLOOD`, a flood out from the goal runs in lockstep: each pop,
+    /// after the goal check, takes one cell off the frontier (last in,
+    /// first out) and stamps and pushes its unstamped in-window neighbours
+    /// whose `cost` is `Some`, in [`DIRS`] order. Touching the start cell
+    /// ends the flood, since a path may exist; a pop that finds the
+    /// frontier empty ends the search with `None`. A state moves only to
+    /// an in-window neighbour whose `cost` is `Some`, so the flood walks
+    /// that relation backwards, and a flood that never touched the start
+    /// proves the `None` the A* would reach by draining its heap. The
+    /// flood reads `cost` and writes only its own scratch, so the pops are
+    /// the same as without it, cut short only where no path exists. Its
+    /// steps are not metered: there is at most one per pop, so the
+    /// metered pops bound them.
     #[allow(clippy::too_many_arguments)] // one kernel, every caller's knobs
-    pub(crate) fn run(
+    pub(crate) fn run<const FLOOD: bool>(
         &mut self,
         grid: &RoutingGrid,
         step_cost: u32,
@@ -227,15 +265,18 @@ impl Search {
         if self.generation == 0 {
             // Stamps from before the wrap would read as current.
             self.best.fill(0);
+            self.flooded.fill(0);
             self.generation = 1;
         }
-        let stamp = u64::from(self.generation) << 32;
+        let generation = self.generation;
+        let stamp = u64::from(generation) << 32;
         self.heap.clear();
 
         let (x0, y0, x1, y1) = window.unwrap_or((0, 0, grid.cols - 1, grid.rows - 1));
         let (x0, y0) = (x0.max(0), y0.max(0));
         let (x1, y1) = (x1.min(grid.cols - 1), y1.min(grid.rows - 1));
         debug_assert!((x0..=x1).contains(&start.0) && (y0..=y1).contains(&start.1));
+        debug_assert!((x0..=x1).contains(&goal.0) && (y0..=y1).contains(&goal.1));
         let cols = grid.cols as usize;
         let steps = [1, -1, cols as isize, -(cols as isize)];
         let h = |cx: i64, cy: i64| -> u32 {
@@ -243,9 +284,18 @@ impl Search {
         };
         let key = |f: u32, state: usize| Reverse(u64::from(f) << 32 | state as u64);
 
-        let start_state = grid.index(start.0, start.1) * 5 + START;
+        let start_cell = grid.index(start.0, start.1);
+        let start_state = start_cell * 5 + START;
         self.best[start_state] = stamp;
         self.heap.push(key(h(start.0, start.1), start_state));
+
+        let mut flooding = FLOOD;
+        if FLOOD {
+            let goal_cell = grid.index(goal.0, goal.1);
+            self.frontier.clear();
+            self.flooded[goal_cell] = generation;
+            self.frontier.push(goal_cell as u32);
+        }
 
         let mut last_f = 0;
         while let Some(Reverse(popped)) = self.heap.pop() {
@@ -263,6 +313,28 @@ impl Search {
             let (cx, cy) = ((cell % cols) as i64, (cell / cols) as i64);
             if (cx, cy) == goal {
                 return Some(self.path(s, goal, cols));
+            }
+            if flooding {
+                let Some(at) = self.frontier.pop() else {
+                    return None; // the goal's side is closed off
+                };
+                let at = at as usize;
+                let (ax, ay) = ((at % cols) as i64, (at / cols) as i64);
+                let open = [ax < x1, ax > x0, ay < y1, ay > y0];
+                for (&inside, &step) in open.iter().zip(&steps) {
+                    if !inside {
+                        continue;
+                    }
+                    let n = at.wrapping_add_signed(step);
+                    if n == start_cell {
+                        flooding = false;
+                        break;
+                    }
+                    if self.flooded[n] != generation && cost(n).is_some() {
+                        self.flooded[n] = generation;
+                        self.frontier.push(n as u32);
+                    }
+                }
             }
             // An outdated entry re-expands with the state's current cost;
             // it pushes nothing but still counts as a pop.
@@ -523,7 +595,7 @@ impl AStarRouter {
                 // this net's free cells: an endpoint escape zone, or a cell
                 // of an earlier branch (branches merge).
                 let passable = |c: usize| (free.contains(c) || grid.blocked[c] == 0).then_some(0);
-                match search.run(
+                match search.run::<true>(
                     grid,
                     self.config.step_cost,
                     self.config.bend_penalty,
@@ -740,7 +812,18 @@ mod tests {
         |c| (grid.blocked[c] == 0).then_some((c * 7 % 5) as u32)
     }
 
+    /// One flooding search, as the A* router runs it: the path and its pops.
     fn run(
+        search: &mut Search,
+        grid: &RoutingGrid,
+        start: (i64, i64),
+        goal: (i64, i64),
+        window: Option<Window>,
+    ) -> (Option<Vec<(i64, i64)>>, u64) {
+        run_with::<true>(search, grid, start, goal, window)
+    }
+
+    fn run_with<const FLOOD: bool>(
         search: &mut Search,
         grid: &RoutingGrid,
         start: (i64, i64),
@@ -749,7 +832,8 @@ mod tests {
     ) -> (Option<Vec<(i64, i64)>>, u64) {
         let before = search.expanded;
         let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
-        let path = search.run(grid, 10, 30, start, goal, window, &mut meter, uneven(grid));
+        let cost = uneven(grid);
+        let path = search.run::<FLOOD>(grid, 10, 30, start, goal, window, &mut meter, cost);
         (path, search.expanded - before)
     }
 
@@ -771,7 +855,7 @@ mod tests {
                 .with_fuel(3)
                 .enter(|| {
                     let mut meter = Meter::new(1);
-                    reused.run(
+                    reused.run::<true>(
                         &grid,
                         10,
                         30,
@@ -817,5 +901,62 @@ mod tests {
             run(&mut search, &grid, (3, 3), (3, 3), None),
             (Some(vec![(3, 3)]), 1)
         );
+    }
+
+    #[test]
+    fn an_unreachable_goal_stops_within_its_pocket() {
+        // A 20×20 grid whose 2×2 pocket at x, y ∈ 16..=17 is walled off.
+        let (cols, rows) = (20, 20);
+        let mut blocked = vec![0; (cols * rows) as usize];
+        for y in 15..=18 {
+            for x in 15..=18 {
+                if !((16..=17).contains(&x) && (16..=17).contains(&y)) {
+                    blocked[(y * cols + x) as usize] = BLOCK_COMPONENT;
+                }
+            }
+        }
+        let grid = RoutingGrid {
+            cols,
+            rows,
+            cell: 200,
+            blocked,
+        };
+        let mut search = Search::new(&grid);
+        let (path, pops) = run(&mut search, &grid, (1, 1), (16, 16), None);
+        assert_eq!(path, None);
+        // Four pops flood the pocket, the fifth finds the frontier empty.
+        assert!(pops <= 5, "{pops} pops");
+        // Without the flood, the A* pops every state it can reach first.
+        let (path, pops) = run_with::<false>(&mut search, &grid, (1, 1), (16, 16), None);
+        assert_eq!(path, None);
+        assert!(pops > 1000, "{pops} pops");
+    }
+
+    #[test]
+    fn flooding_changes_no_answer() {
+        let grid = walled_grid();
+        let (mut flooded, mut plain) = (Search::new(&grid), Search::new(&grid));
+        let mut shortened = 0;
+        for window in [(0, 0, 11, 8), (0, 1, 11, 7), (3, 0, 8, 8)] {
+            let (x0, y0, x1, y1) = window;
+            let cells: Vec<(i64, i64)> = (y0..=y1)
+                .flat_map(|y| (x0..=x1).map(move |x| (x, y)))
+                .collect();
+            for &start in &cells {
+                for &goal in &cells {
+                    let label = format!("{start:?} -> {goal:?} in {window:?}");
+                    let got = run_with::<true>(&mut flooded, &grid, start, goal, Some(window));
+                    let want = run_with::<false>(&mut plain, &grid, start, goal, Some(window));
+                    assert_eq!(got.0, want.0, "{label}");
+                    if want.0.is_some() {
+                        assert_eq!(got.1, want.1, "{label}: pops");
+                    } else {
+                        assert!(got.1 <= want.1, "{label}: {} > {} pops", got.1, want.1);
+                        shortened += usize::from(got.1 < want.1);
+                    }
+                }
+            }
+        }
+        assert!(shortened > 0, "no search ended early");
     }
 }

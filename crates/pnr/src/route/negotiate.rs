@@ -20,6 +20,16 @@
 //! net's expansion is bounded to its terminal bounding box inflated by a
 //! margin, widening to the whole grid only when the bounded pass fails.
 //!
+//! Hardening searches run the kernel's goal-side flood, which ends a
+//! search with no path as soon as it proves the goal walled off; the
+//! negotiated searches do not. Hardening blocks the cells other nets
+//! hold, which walls sinks in. Negotiation prices those cells instead, so
+//! a net's passable cells are the component-free cells plus its own
+//! escape zones in every iteration, and a negotiated search fails only
+//! where components alone wall a sink off. On the designs
+//! `tests/tests/route_kernel.rs` pins, flooding the negotiated searches
+//! too saves no pop, so there it would only add work.
+//!
 //! The returned routing is always *legal* (cell-disjoint outside endpoint
 //! escape zones): after negotiation a hardening pass keeps every net whose
 //! route is conflict-free and re-routes the rest with hard blocking,
@@ -142,8 +152,9 @@ impl Negotiation<'_> {
     /// Routes every sink of one net, bounded-then-unbounded, returning the
     /// waypoint branches and the deduped non-escape path cells. The net
     /// must already be ripped up (its cells out of the occupancy map).
-    /// `HARD` selects hardening over negotiation; as a constant it gives
-    /// each mode its own copy of the search loop.
+    /// `HARD` selects hardening over negotiation, and with it the kernel's
+    /// goal-side flood; as a constant it gives each mode its own copy of
+    /// the search loop.
     fn route_net<const HARD: bool>(
         &mut self,
         net: &NetState,
@@ -173,7 +184,7 @@ impl Negotiation<'_> {
             let mut search = |window| {
                 let (start, goal) = (net.src_cell, sink_cell);
                 self.kernel
-                    .run(grid, step, bend, start, goal, window, meter, price)
+                    .run::<HARD>(grid, step, bend, start, goal, window, meter, price)
             };
             // The bounded pass can fail inside a congested window even
             // though free silicon exists outside it; widen to the whole

@@ -3,11 +3,12 @@
 //! Every case places one design, routes it under a fresh obs collector,
 //! and compares three things with recorded constants: an FNV-1a digest of
 //! every routed net's waypoints followed by the failed list, the
-//! `pnr.route.expansions` counter (heap pops over the whole route call),
-//! and `pnr.route.negotiate.iterations`. A change to the grid search that
-//! moves one route, one failure or one heap pop fails here by name. A
-//! change meant to alter routes updates these constants together with
-//! `ci/baseline-report.json`.
+//! `pnr.route.expansions` counter (heap pops over the whole route call,
+//! including those of a search that the kernel's goal-side flood ends
+//! early because no path exists), and `pnr.route.negotiate.iterations`.
+//! A change to the grid search that moves one route, one failure or one
+//! heap pop fails here by name. A change meant to alter routes updates
+//! these constants together with `ci/baseline-report.json`.
 
 use parchmint::{CompiledDevice, Device};
 use parchmint_obs::Collector;
@@ -59,21 +60,21 @@ const fn pin(
 
 #[rustfmt::skip]
 const PINNED: &[Pinned] = &[
-    pin("logic_gate_and", Greedy, AStar, 0xf391_1967_fcd3_2487, (12, 1), 25_018, 0),
+    pin("logic_gate_and", Greedy, AStar, 0xf391_1967_fcd3_2487, (12, 1), 13_312, 0),
     pin("logic_gate_and", Greedy, Negotiate, 0xd299_1925_1948_fe07, (13, 0), 17_067, 4),
     pin("logic_gate_and", Annealing, AStar, 0x9e00_53ad_ff5c_9ec1, (13, 0), 5_295, 0),
     pin("logic_gate_and", Annealing, Negotiate, 0xe708_e836_d844_23f5, (13, 0), 6_971, 2),
-    pin("planar_synthetic_1", Greedy, AStar, 0xe491_c7c3_bb0b_1bed, (12, 3), 16_984, 0),
+    pin("planar_synthetic_1", Greedy, AStar, 0xe491_c7c3_bb0b_1bed, (12, 3), 13_763, 0),
     pin("planar_synthetic_1", Greedy, Negotiate, 0x1694_e11c_a14b_0ddf, (15, 0), 47_346, 9),
-    pin("planar_synthetic_1", Annealing, AStar, 0xc8f7_3711_ca5d_802b, (13, 2), 17_740, 0),
+    pin("planar_synthetic_1", Annealing, AStar, 0xc8f7_3711_ca5d_802b, (13, 2), 10_865, 0),
     pin("planar_synthetic_1", Annealing, Negotiate, 0x9c06_5c7b_a7eb_2d70, (15, 0), 46_662, 10),
-    pin("aquaflex_5a", Greedy, AStar, 0x9291_5685_9865_fad6, (35, 23), 458_573, 0),
-    pin("aquaflex_5a", Greedy, Negotiate, 0x5993_2a68_60a3_79ed, (41, 17), 2_018_931, 20),
-    pin("aquaflex_5a", Annealing, AStar, 0x6c4c_577c_0fdc_84e1, (49, 9), 166_486, 0),
-    pin("aquaflex_5a", Annealing, Negotiate, 0x3d74_9048_2a21_77e6, (57, 1), 487_240, 20),
-    pin(FPVA, Greedy, AStar, 0x03c9_819b_83ba_9c22, (81, 141), 1_033_746, 0),
-    pin(FPVA, Greedy, Negotiate, 0xbe2e_a8a9_cc38_c9b5, (104, 118), 12_779_134, 20),
-    pin(FPVA, Annealing, AStar, 0x7433_0c05_0712_27f5, (199, 23), 1_033_327, 0),
+    pin("aquaflex_5a", Greedy, AStar, 0x9291_5685_9865_fad6, (35, 23), 191_244, 0),
+    pin("aquaflex_5a", Greedy, Negotiate, 0x5993_2a68_60a3_79ed, (41, 17), 1_939_084, 20),
+    pin("aquaflex_5a", Annealing, AStar, 0x6c4c_577c_0fdc_84e1, (49, 9), 77_025, 0),
+    pin("aquaflex_5a", Annealing, Negotiate, 0x3d74_9048_2a21_77e6, (57, 1), 486_175, 20),
+    pin(FPVA, Greedy, AStar, 0x03c9_819b_83ba_9c22, (81, 141), 344_936, 0),
+    pin(FPVA, Greedy, Negotiate, 0xbe2e_a8a9_cc38_c9b5, (104, 118), 12_184_554, 20),
+    pin(FPVA, Annealing, AStar, 0x7433_0c05_0712_27f5, (199, 23), 106_657, 0),
     pin(FPVA, Annealing, Negotiate, 0xbd5b_2096_a242_efe7, (222, 0), 118_682, 6),
 ];
 
