@@ -13,6 +13,11 @@
 //! and the same passable cells. A flood that runs out of cells without
 //! touching the start proves the goal unreachable, and the search ends at
 //! once with the `None` the A* would have reached by draining its heap.
+//!
+//! Most of the remaining pops belong to (cell, heading) states that cost
+//! more than another heading of the same cell plus one bend: such a state
+//! can never improve a neighbour, so the kernel does not push it. Both
+//! shortcuts only remove pops; every route stays the same.
 
 use super::{RoutedNet, Router, RoutingResult};
 use parchmint::geometry::{Point, Rect};
@@ -194,7 +199,9 @@ pub(crate) type Window = (i64, i64, i64, i64);
 /// exactly as the `(f, state)` pair. A state is pushed again only with a
 /// strictly lower cost and the same heuristic, so keys are unique (two
 /// keys of one state can only match once `f` saturates, as equal values),
-/// and any exact min-queue pops the same sequence.
+/// and any exact min-queue pops the same sequence. A relaxation that a
+/// cheaper heading of the same cell dominates is dropped before it writes
+/// `best` (see [`Search::run`]), which removes pops and nothing else.
 ///
 /// The goal-side flood of [`Search::run`] keeps its own scratch: `flooded`
 /// holds, per cell, the generation of the last search whose flood reached
@@ -249,6 +256,27 @@ impl Search {
     /// the same as without it, cut short only where no path exists. Its
     /// steps are not metered: there is at most one per pop, so the
     /// metered pops bound them.
+    ///
+    /// A relaxation that lowers state `t` of cell `c` to `ng` is dropped,
+    /// with no `best` or `prev` write and no push, when another state `t'`
+    /// of `c`, stamped in this search, costs `b` with `b + bend_penalty <
+    /// ng`. The two share `c`'s heuristic, so `t'` pops strictly first, and
+    /// from `c` it offers every neighbour at most `b + step + bend +
+    /// extra`, less than the least `t` could offer, `ng + step + extra`.
+    /// Popped, `t` would push nothing, like an outdated entry. A later
+    /// offer into `t` that is not itself dominated is at most `b + bend <
+    /// ng`, so `t`'s cost would never have rejected it. The search thus
+    /// makes the same successful relaxations with the same `prev`, pops
+    /// every other state in the same order and ends on the same goal pop.
+    /// The argument needs only `extra >= 0`, so it holds at `bend_penalty`
+    /// 0, where any heading strictly costlier than another of its cell is
+    /// dropped. The rule is skipped when `f = ng + h` saturates: keys of
+    /// `u32::MAX` tie and fall back to state index, so `t` could pop first.
+    /// The flood is untouched; with fewer pops the heap can at most drain
+    /// before it, with the same `None`. The meter and `expanded` still
+    /// count pops, so the expansion counters read lower, and a fuel or
+    /// deadline budget lasts longer: a budgeted search may get further
+    /// before it trips, still deterministically.
     #[allow(clippy::too_many_arguments)] // one kernel, every caller's knobs
     pub(crate) fn run<const FLOOD: bool>(
         &mut self,
@@ -280,7 +308,7 @@ impl Search {
         let cols = grid.cols as usize;
         let steps = [1, -1, cols as isize, -(cols as isize)];
         let h = |cx: i64, cy: i64| -> u32 {
-            (((cx - goal.0).abs() + (cy - goal.1).abs()) as u32) * step_cost
+            (((cx - goal.0).abs() + (cy - goal.1).abs()) as u32).saturating_mul(step_cost)
         };
         let key = |f: u32, state: usize| Reverse(u64::from(f) << 32 | state as u64);
 
@@ -365,10 +393,25 @@ impl Search {
                     u32::MAX
                 };
                 if ng < known {
+                    let nf = ng.saturating_add(h(cx + dx, cy + dy));
+                    // Drop a state that another heading of its cell beats by
+                    // more than a bend: a cost below `ng - bend_penalty`. An
+                    // entry of this search minus `stamp` is its cost; an
+                    // older stamp wraps past 2^32 and never qualifies, and
+                    // the state's own entry holds `known > ng`. A fold, not
+                    // `any`, so the five tests do not branch.
+                    if nf != u32::MAX {
+                        let below = u64::from(ng.saturating_sub(bend_penalty));
+                        let dominated = self.best[ncell * 5..ncell * 5 + 5]
+                            .iter()
+                            .fold(false, |hit, &b| hit | (b.wrapping_sub(stamp) < below));
+                        if dominated {
+                            continue;
+                        }
+                    }
                     self.best[ns] = stamp | u64::from(ng);
                     self.prev[ns] = dir as u8;
-                    self.heap
-                        .push(key(ng.saturating_add(h(cx + dx, cy + dy)), ns));
+                    self.heap.push(key(nf, ns));
                 }
             }
         }
@@ -926,10 +969,11 @@ mod tests {
         assert_eq!(path, None);
         // Four pops flood the pocket, the fifth finds the frontier empty.
         assert!(pops <= 5, "{pops} pops");
-        // Without the flood, the A* pops every state it can reach first.
+        // Without the flood, the A* first pops every state it reaches
+        // that no other heading of its cell dominates.
         let (path, pops) = run_with::<false>(&mut search, &grid, (1, 1), (16, 16), None);
         assert_eq!(path, None);
-        assert!(pops > 1000, "{pops} pops");
+        assert_eq!(pops, 949);
     }
 
     #[test]
@@ -958,5 +1002,167 @@ mod tests {
             }
         }
         assert!(shortened > 0, "no search ended early");
+    }
+
+    #[test]
+    fn a_huge_step_cost_saturates_the_heuristic() {
+        // Four steps of 2^30 overflow u32. The start's neighbours off the
+        // row are four steps from the goal: their heuristic saturates, so
+        // they pop after the goal instead of first.
+        let grid = walled_grid();
+        let mut search = Search::new(&grid);
+        let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
+        let cost = uneven(&grid);
+        let path = search.run::<true>(&grid, 1 << 30, 30, (0, 4), (3, 4), None, &mut meter, cost);
+        assert_eq!(path, Some(vec![(0, 4), (1, 4), (2, 4), (3, 4)]));
+        assert_eq!(search.expanded, 4);
+    }
+
+    /// The kernel loop without the dominance test: the oracle for
+    /// `dominance_changes_no_path`. A fresh `Search` stands in for reused
+    /// scratch; step cost 10, no meter.
+    fn reference<const FLOOD: bool>(
+        grid: &RoutingGrid,
+        bend_penalty: u32,
+        start: (i64, i64),
+        goal: (i64, i64),
+        (x0, y0, x1, y1): Window,
+        cost: impl Fn(usize) -> Option<u32>,
+    ) -> (Option<Vec<(i64, i64)>>, u64) {
+        let mut search = Search::new(grid);
+        let stamp = 1 << 32;
+        let cols = grid.cols as usize;
+        let steps = [1, -1, cols as isize, -(cols as isize)];
+        let h = |cx: i64, cy: i64| ((cx - goal.0).abs() + (cy - goal.1).abs()) as u32 * 10;
+        let key = |f: u32, state: usize| Reverse(u64::from(f) << 32 | state as u64);
+        let start_cell = grid.index(start.0, start.1);
+        search.best[start_cell * 5 + START] = stamp;
+        search
+            .heap
+            .push(key(h(start.0, start.1), start_cell * 5 + START));
+        let mut flooding = FLOOD;
+        let goal_cell = grid.index(goal.0, goal.1);
+        search.flooded[goal_cell] = 1;
+        search.frontier.push(goal_cell as u32);
+        let mut pops = 0;
+        while let Some(Reverse(popped)) = search.heap.pop() {
+            pops += 1;
+            let s = popped as u32 as usize;
+            let (cell, dir) = (s / 5, s % 5);
+            let (cx, cy) = ((cell % cols) as i64, (cell / cols) as i64);
+            if (cx, cy) == goal {
+                return (Some(search.path(s, goal, cols)), pops);
+            }
+            if flooding {
+                let Some(at) = search.frontier.pop() else {
+                    return (None, pops);
+                };
+                let at = at as usize;
+                let (ax, ay) = ((at % cols) as i64, (at / cols) as i64);
+                let open = [ax < x1, ax > x0, ay < y1, ay > y0];
+                for (&inside, &step) in open.iter().zip(&steps) {
+                    if !inside {
+                        continue;
+                    }
+                    let n = at.wrapping_add_signed(step);
+                    if n == start_cell {
+                        flooding = false;
+                        break;
+                    }
+                    if search.flooded[n] != 1 && cost(n).is_some() {
+                        search.flooded[n] = 1;
+                        search.frontier.push(n as u32);
+                    }
+                }
+            }
+            let g = search.best[s] as u32;
+            let open = [cx < x1, cx > x0, cy < y1, cy > y0];
+            for (d, &(dx, dy)) in DIRS.iter().enumerate() {
+                if !open[d] {
+                    continue;
+                }
+                let ncell = cell.wrapping_add_signed(steps[d]);
+                let Some(extra) = cost(ncell) else {
+                    continue;
+                };
+                let bend = if dir != START && dir != d {
+                    bend_penalty
+                } else {
+                    0
+                };
+                let ng = g
+                    .saturating_add(10)
+                    .saturating_add(bend)
+                    .saturating_add(extra);
+                let ns = ncell * 5 + d;
+                let known = search.best[ns];
+                let known = if known >= stamp {
+                    known as u32
+                } else {
+                    u32::MAX
+                };
+                if ng < known {
+                    search.best[ns] = stamp | u64::from(ng);
+                    search.prev[ns] = dir as u8;
+                    search
+                        .heap
+                        .push(key(ng.saturating_add(h(cx + dx, cy + dy)), ns));
+                }
+            }
+        }
+        (None, pops)
+    }
+
+    /// A bend penalty and the cell costs searched with it.
+    type Table<'a> = (u32, &'a dyn Fn(usize) -> Option<u32>);
+
+    /// Checks one search of the reused `search` against the oracle: the
+    /// same path, and never more pops. True when it popped fewer.
+    fn compare<const FLOOD: bool>(
+        search: &mut Search,
+        grid: &RoutingGrid,
+        (bend, cost): Table,
+        (start, goal, window): ((i64, i64), (i64, i64), Window),
+    ) -> bool {
+        let label = format!("{start:?} -> {goal:?} in {window:?}, bend {bend}, flood {FLOOD}");
+        let before = search.expanded;
+        let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
+        let path = search.run::<FLOOD>(grid, 10, bend, start, goal, Some(window), &mut meter, cost);
+        let pops = search.expanded - before;
+        let (want, want_pops) = reference::<FLOOD>(grid, bend, start, goal, window, cost);
+        assert_eq!(path, want, "{label}");
+        assert!(pops <= want_pops, "{label}: {pops} > {want_pops} pops");
+        pops < want_pops
+    }
+
+    #[test]
+    fn dominance_changes_no_path() {
+        let grid = walled_grid();
+        let uneven = uneven(&grid);
+        // Every seventh cell costs nearly `u32::MAX`. Entered early in a
+        // search, its state's cost stays below that, but `f` saturates.
+        let saturating = |c: usize| {
+            (grid.blocked[c] == 0).then_some(if c % 7 == 0 { u32::MAX - 100 } else { 0 })
+        };
+        let tables: [Table; 3] = [(30, &uneven), (0, &uneven), (30, &saturating)];
+        // One search for every query, so stamps of earlier searches linger.
+        let mut search = Search::new(&grid);
+        let mut saved = 0;
+        for table in tables {
+            for window in [(0, 0, 11, 8), (0, 1, 11, 7), (3, 0, 8, 8)] {
+                let (x0, y0, x1, y1) = window;
+                let cells: Vec<(i64, i64)> = (y0..=y1)
+                    .flat_map(|y| (x0..=x1).map(move |x| (x, y)))
+                    .collect();
+                for &start in &cells {
+                    for &goal in &cells {
+                        let q = (start, goal, window);
+                        saved += usize::from(compare::<true>(&mut search, &grid, table, q));
+                        saved += usize::from(compare::<false>(&mut search, &grid, table, q));
+                    }
+                }
+            }
+        }
+        assert!(saved > 0, "no search popped less");
     }
 }
