@@ -1,22 +1,10 @@
-//! Shared measurement helpers for the criterion benches and the
-//! `parchmint bench-ingest` subcommand.
-//!
-//! Everything that must agree between the interactive benches, the CLI,
-//! and CI lives here: the `BENCH_ingest.json` schema tag, the per-tier
-//! measurement routine over the FPVA ladder, and the process-level
-//! throughput/RSS probes. The JSON the measurement emits has a
-//! deterministic *shape* (fixed keys, fixed nesting — values obviously
-//! vary run to run), and CI asserts that shape on every push.
+//! Process-level measurement probes shared with the `parchmint-bench`
+//! benchmark package: peak resident set size and byte throughput.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use parchmint::{CompiledDevice, Device};
-use serde_json::{Map, Value};
-use std::time::{Duration, Instant};
-
-/// Schema tag stamped on every `BENCH_ingest.json`.
-pub const INGEST_SCHEMA: &str = "parchmint-bench-ingest/v1";
+use std::time::Duration;
 
 /// Peak resident set size of this process in bytes, read from
 /// `/proc/self/status` (`VmHWM`, the high-water mark). `None` off Linux
@@ -28,16 +16,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Devices per second over `wall` (0.0 when `wall` is zero).
-pub fn devices_per_sec(devices: usize, wall: Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs > 0.0 {
-        devices as f64 / secs
-    } else {
-        0.0
-    }
-}
-
 /// Megabytes (1e6 bytes) per second over `wall` (0.0 when `wall` is
 /// zero).
 pub fn mb_per_sec(bytes: usize, wall: Duration) -> f64 {
@@ -47,168 +25,6 @@ pub fn mb_per_sec(bytes: usize, wall: Duration) -> f64 {
     } else {
         0.0
     }
-}
-
-/// The best (minimum) wall time of `repeats` runs of `body` — the
-/// standard estimator for a deterministic workload, insensitive to
-/// scheduler noise in one direction. Returns the last run's value.
-pub fn best_of<T>(repeats: usize, mut body: impl FnMut() -> T) -> (T, Duration) {
-    let mut best: Option<Duration> = None;
-    let mut last: Option<T> = None;
-    for _ in 0..repeats.max(1) {
-        let started = Instant::now();
-        let value = body();
-        let wall = started.elapsed();
-        if best.map_or(true, |b| wall < b) {
-            best = Some(wall);
-        }
-        last = Some(value);
-    }
-    (last.expect("at least one run"), best.expect("timed"))
-}
-
-fn rate_object(devices: usize, bytes: usize, wall: Duration) -> Map {
-    let mut object = Map::new();
-    object.insert("wall_ms".to_string(), Value::from(wall.as_secs_f64() * 1e3));
-    object.insert(
-        "devices_per_sec".to_string(),
-        Value::from(devices_per_sec(devices, wall)),
-    );
-    object.insert(
-        "mb_per_sec".to_string(),
-        Value::from(mb_per_sec(bytes, wall)),
-    );
-    object
-}
-
-/// Measures one FPVA tier end to end and returns the tier's report
-/// object (fixed keys; see [`INGEST_SCHEMA`]).
-///
-/// Phases: generate the device, serialize it, cross-check that the
-/// `Value` reference path and the streaming fast path parse it to the
-/// same device (untimed), time each path (`repeats` runs, best-of,
-/// results dropped per run so neither path is measured while the
-/// other's tree is held), compile the interned IR once, and fan
-/// `parallel_documents` copies of the document across `threads` workers
-/// through [`parchmint_harness::ingest_batch`] to measure saturated
-/// parallel ingest.
-pub fn measure_ingest_tier(
-    name: &str,
-    repeats: usize,
-    threads: usize,
-    parallel_documents: usize,
-) -> Result<Value, String> {
-    let benchmark =
-        parchmint_suite::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-
-    let generate_started = Instant::now();
-    let device = benchmark.device();
-    let generate_wall = generate_started.elapsed();
-    let components = device.components.len();
-    let valves = device.valves.len();
-
-    let serialize_started = Instant::now();
-    let json = device.to_json().map_err(|e| e.to_string())?;
-    let serialize_wall = serialize_started.elapsed();
-    let json_bytes = json.len();
-
-    // Cross-check equivalence outside the timed region, and drop both
-    // trees before timing starts: holding a 10k-component device alive
-    // while measuring the other path skews the allocator against
-    // whichever path runs second.
-    {
-        let value_device =
-            Device::from_json(&json).expect("reference path parses its own serialization");
-        let fast_device =
-            Device::from_json_fast(&json).expect("fast path parses its own serialization");
-        if fast_device != value_device {
-            return Err(format!("fast/value path divergence on `{name}`"));
-        }
-    }
-
-    let ((), value_wall) = best_of(repeats, || {
-        drop(Device::from_json(&json).expect("reference path parses"));
-    });
-    let ((), fast_wall) = best_of(repeats, || {
-        drop(Device::from_json_fast(&json).expect("fast path parses"));
-    });
-
-    let reparsed = Device::from_json_fast(&json).expect("fast path parses");
-    let compile_started = Instant::now();
-    let compiled = CompiledDevice::compile(reparsed);
-    let compile_wall = compile_started.elapsed();
-    drop(compiled);
-
-    let documents = vec![json.clone(); parallel_documents.max(1)];
-    let batch_config = parchmint_harness::BatchIngestConfig::new().threads(threads);
-    let parallel_started = Instant::now();
-    let outcomes = parchmint_harness::ingest_batch(&documents, &batch_config);
-    let parallel_wall = parallel_started.elapsed();
-    if let Some(failure) = outcomes.iter().find_map(|o| o.compiled.as_ref().err()) {
-        return Err(format!("parallel ingest failed on `{name}`: {failure}"));
-    }
-
-    let mut phases = Map::new();
-    phases.insert(
-        "generate_ms".to_string(),
-        Value::from(generate_wall.as_secs_f64() * 1e3),
-    );
-    phases.insert(
-        "serialize_ms".to_string(),
-        Value::from(serialize_wall.as_secs_f64() * 1e3),
-    );
-    phases.insert(
-        "compile_ms".to_string(),
-        Value::from(compile_wall.as_secs_f64() * 1e3),
-    );
-
-    let value_path = rate_object(1, json_bytes, value_wall);
-    let mut fast_path = rate_object(1, json_bytes, fast_wall);
-    fast_path.insert(
-        "speedup_vs_value".to_string(),
-        Value::from(value_wall.as_secs_f64() / fast_wall.as_secs_f64().max(1e-12)),
-    );
-
-    let mut parallel = Map::new();
-    parallel.insert("threads".to_string(), Value::from(threads));
-    parallel.insert("documents".to_string(), Value::from(documents.len()));
-    parallel.insert(
-        "wall_ms".to_string(),
-        Value::from(parallel_wall.as_secs_f64() * 1e3),
-    );
-    parallel.insert(
-        "devices_per_sec".to_string(),
-        Value::from(devices_per_sec(documents.len(), parallel_wall)),
-    );
-    parallel.insert(
-        "mb_per_sec".to_string(),
-        Value::from(mb_per_sec(json_bytes * documents.len(), parallel_wall)),
-    );
-
-    let mut tier = Map::new();
-    tier.insert("name".to_string(), Value::from(name));
-    tier.insert("components".to_string(), Value::from(components));
-    tier.insert("valves".to_string(), Value::from(valves));
-    tier.insert("json_bytes".to_string(), Value::from(json_bytes));
-    tier.insert("repeats".to_string(), Value::from(repeats.max(1)));
-    tier.insert("phases".to_string(), Value::Object(phases));
-    tier.insert("value_path".to_string(), Value::Object(value_path));
-    tier.insert("fast_path".to_string(), Value::Object(fast_path));
-    tier.insert("parallel".to_string(), Value::Object(parallel));
-    Ok(Value::Object(tier))
-}
-
-/// Assembles the full `BENCH_ingest.json` document from per-tier
-/// reports.
-pub fn ingest_report(tiers: Vec<Value>) -> Value {
-    let mut object = Map::new();
-    object.insert("schema".to_string(), Value::from(INGEST_SCHEMA));
-    match peak_rss_bytes() {
-        Some(bytes) => object.insert("peak_rss_bytes".to_string(), Value::from(bytes)),
-        None => object.insert("peak_rss_bytes".to_string(), Value::Null),
-    };
-    object.insert("tiers".to_string(), Value::Array(tiers));
-    Value::Object(object)
 }
 
 #[cfg(test)]
@@ -228,34 +44,7 @@ mod tests {
     #[test]
     fn throughput_helpers_are_consistent() {
         let wall = Duration::from_millis(500);
-        assert_eq!(devices_per_sec(10, wall), 20.0);
         assert_eq!(mb_per_sec(5_000_000, wall), 10.0);
-        assert_eq!(devices_per_sec(10, Duration::ZERO), 0.0);
-        let (value, _best) = best_of(3, || 7);
-        assert_eq!(value, 7);
-    }
-
-    #[test]
-    fn tier_report_has_the_pinned_shape() {
-        let tier = measure_ingest_tier("fpva_1k", 1, 2, 2).expect("measure");
-        for key in [
-            "name",
-            "components",
-            "valves",
-            "json_bytes",
-            "repeats",
-            "phases",
-            "value_path",
-            "fast_path",
-            "parallel",
-        ] {
-            assert!(!tier[key].is_null(), "missing tier key `{key}`");
-        }
-        assert_eq!(tier["name"], Value::from("fpva_1k"));
-        assert_eq!(tier["components"], Value::from(1047));
-        assert!(tier["fast_path"]["speedup_vs_value"].as_f64().is_some());
-        let report = ingest_report(vec![tier]);
-        assert_eq!(report["schema"], Value::from(INGEST_SCHEMA));
-        assert!(report["tiers"].as_array().is_some_and(|t| t.len() == 1));
+        assert_eq!(mb_per_sec(5_000_000, Duration::ZERO), 0.0);
     }
 }

@@ -16,7 +16,6 @@
 //! parchmint serve [--tcp ADDR] [--workers N]      compilation-as-a-service daemon
 //! parchmint submit --addr HOST:PORT [BENCH...]    submit designs to a running daemon
 //! parchmint chaos-proxy PLAN.json --upstream ADDR deterministic wire-fault proxy
-//! parchmint bench-ingest [TIER...] [-o FILE]      FPVA ingest throughput report
 //! ```
 
 use parchmint::{CompiledDevice, Device};
@@ -62,7 +61,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("serve") => cmd_serve(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
         Some("chaos-proxy") => cmd_chaos_proxy(&args[1..]),
-        Some("bench-ingest") => cmd_bench_ingest(&args[1..]),
         Some("help") | None => {
             print!("{USAGE}");
             Ok(())
@@ -100,8 +98,6 @@ USAGE:
                    [--connect-timeout-ms N] [--read-timeout-ms N]
                    [--retry-max N] [--backoff-seed N]
   parchmint chaos-proxy <PLAN.json> --upstream HOST:PORT [--listen HOST:PORT]
-  parchmint bench-ingest [TIER...] [-o FILE] [--repeats N] [--threads N]
-                         [--parallel-docs N]
   parchmint schema
 ";
 
@@ -182,7 +178,7 @@ fn load_device(source: &str) -> Result<Device, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{source}`: {e}"))?;
     if path.extension().and_then(|e| e.to_str()) == Some("mint") {
         let file = parchmint_mint::parse(&text).map_err(|e| format!("{source}: {e}"))?;
-        parchmint_mint::mint_to_device(&file).map_err(|e| e.to_string())
+        parchmint_mint::mint_to_device(&file).map_err(|e| format!("{source}: {e}"))
     } else {
         Device::from_json(&text).map_err(|e| format!("{source}: {e}"))
     }
@@ -947,67 +943,6 @@ fn cmd_chaos_proxy(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Default FPVA tiers `bench-ingest` sweeps when none are named. The
-/// 100k rung exists (`parchmint bench-ingest fpva_100k`) but is left
-/// out of the default so an unqualified run finishes in seconds.
-const BENCH_INGEST_DEFAULT_TIERS: &[&str] = &["fpva_1k", "fpva_4k", "fpva_10k"];
-
-fn cmd_bench_ingest(args: &[String]) -> Result<(), String> {
-    let tiers: Vec<String> = checked_positionals(
-        "bench-ingest",
-        args,
-        &["-o", "--repeats", "--threads", "--parallel-docs"],
-        &[],
-    )?
-    .into_iter()
-    .map(str::to_string)
-    .collect();
-    let tiers: Vec<&str> = if tiers.is_empty() {
-        BENCH_INGEST_DEFAULT_TIERS.to_vec()
-    } else {
-        tiers.iter().map(String::as_str).collect()
-    };
-    let parse_count = |flag: &str, default: usize| -> Result<usize, String> {
-        match option_value(args, flag) {
-            Some(text) => text
-                .parse()
-                .map_err(|_| format!("bench-ingest: bad `{flag}` value `{text}`")),
-            None => Ok(default),
-        }
-    };
-    let repeats = parse_count("--repeats", 3)?;
-    let threads = parse_count("--threads", 0)?;
-    let parallel_docs = parse_count("--parallel-docs", 8)?;
-
-    let mut reports = Vec::with_capacity(tiers.len());
-    for tier in &tiers {
-        let report = parchmint_benches::measure_ingest_tier(tier, repeats, threads, parallel_docs)
-            .map_err(|e| format!("bench-ingest: {e}"))?;
-        eprintln!(
-            "{tier}: {} components, fast path {:.1} MB/s ({:.2}x vs value path)",
-            report["components"].as_i64().unwrap_or_default(),
-            report["fast_path"]["mb_per_sec"]
-                .as_f64()
-                .unwrap_or_default(),
-            report["fast_path"]["speedup_vs_value"]
-                .as_f64()
-                .unwrap_or_default(),
-        );
-        reports.push(report);
-    }
-    let document = parchmint_benches::ingest_report(reports);
-    let mut text = serde_json::to_string_pretty(&document).expect("report serializes");
-    text.push('\n');
-    match option_value(args, "-o") {
-        Some(path) => {
-            std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            eprintln!("ingest report written to {path}");
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
-}
-
 fn cmd_plan(args: &[String]) -> Result<(), String> {
     let positionals = positionals_of(args, &[]);
     let [source, from, to] = positionals.as_slice() else {
@@ -1055,34 +990,14 @@ mod tests {
     }
 
     #[test]
-    fn bench_ingest_writes_a_schema_tagged_report() {
-        let path = std::env::temp_dir().join("parchmint_bench_ingest_test.json");
-        run(&strings(&[
-            "bench-ingest",
-            "fpva_1k",
-            "--repeats",
-            "1",
-            "--parallel-docs",
-            "2",
-            "-o",
-            path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let report: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(
-            report["schema"],
-            serde_json::Value::from("parchmint-bench-ingest/v1")
+    fn mint_conversion_errors_name_the_file() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/corpus/malformed/unknown-reference.mint"
         );
-        assert_eq!(
-            report["tiers"][0]["name"],
-            serde_json::Value::from("fpva_1k")
-        );
-        assert!(report["tiers"][0]["fast_path"]["speedup_vs_value"]
-            .as_f64()
-            .is_some());
-        let _ = std::fs::remove_file(&path);
-        assert!(run(&strings(&["bench-ingest", "--bogus"])).is_err());
+        let error = run(&strings(&["validate", path])).unwrap_err();
+        assert!(error.starts_with(&format!("{path}: ")), "{error}");
+        assert!(error.contains("ghost"), "{error}");
     }
 
     #[test]

@@ -97,20 +97,21 @@ impl Device {
     // ---- JSON -----------------------------------------------------------
 
     /// Parses a device from ParchMint JSON text.
+    ///
+    /// Runs the streaming reader (`crate::ingest`): one pass over the
+    /// input with borrowed keys and strings and no intermediate `Value`
+    /// tree. The derived `Deserialize` impl, reached as
+    /// `serde_json::from_str::<Device>`, is kept as the test oracle; see
+    /// the `ingest` module for the one kind of document the two treat
+    /// differently.
     pub fn from_json(json: &str) -> Result<Self> {
-        Ok(serde_json::from_str(json)?)
+        crate::ingest::device_from_str(json)
     }
 
-    /// Parses a device from ParchMint JSON text via the streaming
-    /// zero-copy reader — the hot path for large (FPVA-scale) devices.
-    ///
-    /// Semantically identical to [`Device::from_json`] (the `Value` tree
-    /// path stays as the reference implementation; an equivalence
-    /// proptest pins the two together), but runs in a single pass over
-    /// the input with borrowed keys/strings and no intermediate
-    /// `Value`/`Fragment` materialization.
+    // Kept only for `parchmint-bench`, which still calls it.
+    #[doc(hidden)]
     pub fn from_json_fast(json: &str) -> Result<Self> {
-        crate::ingest::device_from_str(json)
+        Self::from_json(json)
     }
 
     /// Serializes the device to compact ParchMint JSON.
@@ -421,10 +422,11 @@ impl TryFrom<DeviceRepr> for Device {
 }
 
 /// Parsed-but-unvalidated device fields, shared between the `Value`
-/// reference path ([`DeviceRepr`]) and the streaming fast path
-/// (`crate::ingest`): both funnel through [`finish_device`] so valve-map
-/// resolution, version inference, and the version/content checks — and
-/// their error messages — cannot drift apart.
+/// oracle ([`DeviceRepr`]) and the streaming reader behind
+/// [`Device::from_json`] (`crate::ingest`): both funnel through
+/// [`finish_device`] so valve-map resolution, version inference, and the
+/// version/content checks — and their error messages — cannot drift
+/// apart.
 pub(crate) struct RawDevice {
     pub(crate) name: String,
     pub(crate) version: Option<Version>,

@@ -1,12 +1,13 @@
-//! Streaming zero-copy device ingest — the hot path behind
-//! [`Device::from_json_fast`](crate::Device::from_json_fast).
+//! Streaming zero-copy device ingest — the engine behind
+//! [`Device::from_json`](crate::Device::from_json).
 //!
-//! The reference path ([`Device::from_json`](crate::Device::from_json))
-//! parses the document into a `serde_json::Value` tree, converts that
-//! tree into `serde::Fragment`s, and only then drives the derived
-//! deserializers — every key and string is allocated and copied at
-//! least twice before the model sees it. At FPVA scale (10k–100k
-//! components) that intermediate materialization dominates ingest.
+//! The derived `Deserialize` impl (reached as
+//! `serde_json::from_str::<Device>`) parses the document into a
+//! `serde_json::Value` tree, converts that tree into `serde::Fragment`s,
+//! and only then drives the derived deserializers — every key and string
+//! is allocated and copied at least twice before the model sees it. At
+//! FPVA scale (10k–100k components) that intermediate materialization
+//! dominates ingest, so it is kept only as the test oracle.
 //!
 //! This module instead drives the model constructors directly from
 //! [`serde_json::EventReader`]'s borrowed pull events: one pass over the
@@ -16,16 +17,17 @@
 //! valve-map resolution, version inference, and their error messages are
 //! shared by construction.
 //!
-//! ## Equivalence with the `Value` path
+//! ## Agreement with the `Value` oracle
 //!
-//! For every document the `Value` path accepts with well-formed field
-//! occurrences, this path produces an identical [`Device`] (pinned by a
-//! proptest over generated devices and randomized JSON formatting).
-//! Matching behaviors worth calling out:
+//! For every document the oracle accepts with well-formed field
+//! occurrences, this reader produces an identical [`Device`] (pinned by a
+//! proptest over generated devices and randomized JSON formatting, and by
+//! a tier-1 test over the suite and the FPVA tiers). Matching behaviors
+//! worth calling out:
 //!
 //! - unknown object keys are skipped, as the derived deserializers do;
-//! - duplicate keys keep the last occurrence (the `Value` path collapses
-//!   them in its map before deserializing);
+//! - duplicate keys keep the last occurrence (the oracle collapses them
+//!   in its map before deserializing);
 //! - integral finite floats coerce into integer fields (`1.0` parses
 //!   into an `i64` coordinate), exactly like the vendored serde's
 //!   `Fragment::F64` rule;
@@ -35,12 +37,12 @@
 //!   until the `type` tag is known, so fields the chosen variant ignores
 //!   are never type-checked — again matching the derived tagged enum.
 //!
-//! The one intentional divergence: when a key occurs twice and only the
-//! *earlier* occurrence is malformed, the `Value` path masks it (last
-//! occurrence wins before any typing happens) while this single-pass
-//! reader reports the error it streams past first. Rejected documents
-//! may therefore differ in *which* error is reported, never in whether
-//! an accepted document's parse differs.
+//! The one difference: when a key occurs twice and only the *earlier*
+//! occurrence is malformed (`{"name": 5, "name": "d"}`), the oracle
+//! masks it (last occurrence wins before any typing happens) and accepts
+//! the document, while this single-pass reader rejects it with the error
+//! it streams past first. Among other rejected documents the two may
+//! differ in *which* error is reported.
 
 use crate::component::{Component, Port};
 use crate::connection::{Connection, Target};
@@ -58,7 +60,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Parses a full device document; the engine behind
-/// [`Device::from_json_fast`](crate::Device::from_json_fast).
+/// [`Device::from_json`](crate::Device::from_json).
 pub(crate) fn device_from_str(json: &str) -> Result<Device> {
     let mut ingest = Ingest {
         reader: EventReader::new(json),
@@ -74,7 +76,7 @@ pub(crate) fn device_from_str(json: &str) -> Result<Device> {
 }
 
 /// A data (non-syntax) error, reported through the same
-/// [`enum@Error`] variant the `Value` path uses for shape mismatches.
+/// [`enum@Error`] variant the `Value` oracle uses for shape mismatches.
 fn data_error(message: impl fmt::Display) -> Error {
     <serde_json::Error as serde::de::Error>::custom(message).into()
 }
@@ -257,7 +259,7 @@ impl<'a> Ingest<'a> {
     }
 
     /// An open `{String: String}` map (valveMap / valveTypeMap);
-    /// duplicate keys keep the last occurrence, like the tree path's
+    /// duplicate keys keep the last occurrence, like the oracle's
     /// key-sorted map.
     fn read_string_map(&mut self, what: &str) -> Result<BTreeMap<String, String>> {
         self.enter_object(what)?;
@@ -270,7 +272,7 @@ impl<'a> Ingest<'a> {
     }
 
     /// An open parameter bag: values land as owned [`Value`]s, exactly
-    /// as the reference path stores them.
+    /// as the oracle stores them.
     fn read_params(&mut self, what: &str) -> Result<Params> {
         self.enter_object(what)?;
         let mut params = Params::new();
@@ -587,15 +589,20 @@ fn event_mismatch(what: &str, expected: &str, found: &Event<'_>) -> Error {
 mod tests {
     use crate::Device;
 
-    /// Both paths over the same text; the fast path must reproduce the
-    /// reference parse exactly.
+    /// The `Value` tree path behind the derived `Deserialize` impl.
+    fn oracle(json: &str) -> serde_json::Result<Device> {
+        serde_json::from_str(json)
+    }
+
+    /// Both readers over the same text; `from_json` must reproduce the
+    /// oracle's parse exactly.
     fn assert_equivalent(json: &str) {
-        let reference = Device::from_json(json).expect("reference path accepts");
-        let fast = Device::from_json_fast(json).expect("fast path accepts");
-        assert_eq!(fast, reference);
+        let reference = oracle(json).expect("oracle accepts");
+        let parsed = Device::from_json(json).expect("from_json accepts");
+        assert_eq!(parsed, reference);
         // Byte-level check through the canonical serializer.
         assert_eq!(
-            fast.to_json().unwrap(),
+            parsed.to_json().unwrap(),
             reference.to_json().unwrap(),
             "canonical JSON differs"
         );
@@ -653,7 +660,7 @@ mod tests {
     #[test]
     fn unknown_keys_and_duplicates_match() {
         // Unknown keys skipped at every level; duplicate keys keep the
-        // last occurrence, matching the Value path's map collapse.
+        // last occurrence, matching the oracle's map collapse.
         assert_equivalent(
             r#"{
                 "name": "first", "name": "second",
@@ -668,7 +675,7 @@ mod tests {
 
     #[test]
     fn integral_floats_coerce_into_integer_fields() {
-        // The vendored serde admits 1.0 into i64 fields; the fast path
+        // The vendored serde admits 1.0 into i64 fields; `from_json`
         // must do the same.
         assert_equivalent(
             r#"{
@@ -703,8 +710,33 @@ mod tests {
             r#"{"name": "d", "components": [{"id": "a"}]}"#,
             r#"{"name": "d", "features": [{"id": "f", "name": "n", "layer": "l", "depth": 1}]}"#,
         ] {
-            assert!(Device::from_json(bad).is_err(), "reference accepts {bad:?}");
-            assert!(Device::from_json_fast(bad).is_err(), "fast accepts {bad:?}");
+            assert!(oracle(bad).is_err(), "oracle accepts {bad:?}");
+            assert!(Device::from_json(bad).is_err(), "from_json accepts {bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_malformed_earlier_duplicate_is_rejected_only_by_from_json() {
+        // The oracle collapses duplicate keys before typing, so a bad
+        // earlier occurrence never reaches a type check; the single-pass
+        // reader types each occurrence as it streams past.
+        for (doc, error) in [
+            (
+                r#"{"name": 5, "name": "d"}"#,
+                "device name: invalid type: expected a string, found an integer",
+            ),
+            (
+                r#"{"name":"d","layers":7,"layers":[]}"#,
+                "layers: invalid type: expected a sequence, found an integer",
+            ),
+            (
+                r#"{"name":"d","version":"9.9","version":"1.0"}"#,
+                "device version: unknown ParchMint version `9.9`",
+            ),
+        ] {
+            assert!(oracle(doc).is_ok(), "oracle rejects {doc:?}");
+            let message = Device::from_json(doc).expect_err(doc).to_string();
+            assert!(message.contains(error), "{doc:?}: {message}");
         }
     }
 
@@ -715,6 +747,6 @@ mod tests {
             .build()
             .unwrap();
         let json = device.to_json_pretty().unwrap();
-        assert_eq!(Device::from_json_fast(&json).unwrap(), device);
+        assert_eq!(Device::from_json(&json).unwrap(), device);
     }
 }

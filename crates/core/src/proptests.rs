@@ -26,7 +26,7 @@ fn rect_strategy() -> impl Strategy<Value = Rect> {
 /// 0–4 components in a chain of connections, optional ports, optional
 /// placements/routes, optional valve bindings, and parameter bags with
 /// both integer and string values. Names mix in escape-needing
-/// characters so the borrowed-string fast path's owned fallback is
+/// characters so the streaming reader's owned-string fallback is
 /// exercised too.
 fn device_strategy() -> impl Strategy<Value = Device> {
     (
@@ -227,30 +227,30 @@ proptest! {
         prop_assert_eq!(back, params);
     }
 
-    // ---- ingest fast path ------------------------------------------------
+    // ---- ingest ---------------------------------------------------------
 
     #[test]
     fn fast_ingest_matches_value_path(device in device_strategy(), pretty in any::<bool>()) {
-        // The streaming zero-copy reader must reproduce the `Value`
-        // reference path exactly: equal `Device`, and a byte-identical
+        // `from_json`'s streaming reader must reproduce the `Value` tree
+        // oracle exactly: equal `Device`, and a byte-identical
         // `CompiledDevice` projection.
         let json = if pretty {
             device.to_json_pretty().unwrap()
         } else {
             device.to_json().unwrap()
         };
-        let reference = Device::from_json(&json).unwrap();
-        let fast = Device::from_json_fast(&json).unwrap();
-        prop_assert_eq!(&fast, &reference);
+        let reference: Device = serde_json::from_str(&json).unwrap();
+        let parsed = Device::from_json(&json).unwrap();
+        prop_assert_eq!(&parsed, &reference);
         let reference_compiled = CompiledDevice::compile(reference)
             .into_device()
             .to_json()
             .unwrap();
-        let fast_compiled = CompiledDevice::compile(fast)
+        let parsed_compiled = CompiledDevice::compile(parsed)
             .into_device()
             .to_json()
             .unwrap();
-        prop_assert_eq!(reference_compiled, fast_compiled);
+        prop_assert_eq!(reference_compiled, parsed_compiled);
     }
 
     #[test]

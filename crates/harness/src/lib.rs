@@ -57,7 +57,7 @@ pub mod runner;
 pub mod stage;
 
 pub use baseline::{compare, Regression, Tolerances};
-pub use batch::{ingest_batch, shard_map, BatchIngestConfig, DocumentIngest};
+pub use batch::shard_map;
 pub use engine::{compile_device, execute_stage, CompileExec, ExecPolicy, StageExec};
 pub use matrix::{resolve_matrix, select_benchmarks, select_stages, stage_matches, ResolvedMatrix};
 pub use pareto::{pareto_json, pareto_json_string, pareto_rows, ParetoPoint, ParetoRow};

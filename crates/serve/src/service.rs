@@ -782,7 +782,7 @@ impl Service {
         if let Some(compiled) = entry.compiled() {
             return Ok(compiled);
         }
-        let device = Device::from_json_fast(entry.doc())
+        let device = Device::from_json(entry.doc())
             .map_err(|e| format!("spilled design no longer parses: {e}"))?;
         let compile = engine::compile_device(move || device, None, false);
         parchmint_obs::count("serve.compile.executed", 1);
@@ -817,11 +817,9 @@ impl Service {
     }
 }
 
-/// Parses a canonical document into its device with the streaming
-/// parser (the same accepted language as `Device::from_json`, pinned by
-/// the core equivalence proptest).
+/// Parses a canonical document into its device.
 fn parse_design(doc: &str) -> Result<Device, WireError> {
-    Device::from_json_fast(doc).map_err(|e| {
+    Device::from_json(doc).map_err(|e| {
         WireError::new(
             ErrorKind::InvalidDesign,
             format!("invalid ParchMint design: {e}"),
@@ -1027,10 +1025,10 @@ mod tests {
 
     #[test]
     fn a_hit_replays_without_building_the_device() {
-        // `from_json_fast` rejects this document, so only a path that
-        // never builds the device can answer it from the cache.
+        // `from_json` rejects this document, so only a path that never
+        // builds the device can answer it from the cache.
         let doc = r#"{"components":7,"name":"planted"}"#;
-        assert!(Device::from_json_fast(doc).is_err());
+        assert!(Device::from_json(doc).is_err());
         let service = Service::new(ServeConfig::default());
         let stages = std::collections::BTreeMap::from([(
             "validate".to_string(),

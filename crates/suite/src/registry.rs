@@ -202,8 +202,7 @@ pub fn suite() -> Vec<Benchmark> {
 /// Deliberately *not* part of [`suite`] — tier-1 tests, full-suite
 /// sweeps, and the committed baselines all iterate [`suite`], and the
 /// large rungs would dominate their runtime. The rungs are reachable by
-/// name (see [`by_name`]) for the ingest benchmark, `bench-ingest`, and
-/// explicit suite-run/serve requests.
+/// name (see [`by_name`]) for explicit suite-run/serve requests.
 pub fn fpva_suite() -> Vec<Benchmark> {
     vec![
         bench!(

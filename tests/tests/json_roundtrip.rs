@@ -30,6 +30,25 @@ fn whole_suite_round_trips_pretty() {
 }
 
 #[test]
+fn both_readers_agree_on_the_suite_and_fpva_tiers() {
+    // `Device::from_json` (the streaming reader) against the `Value` tree
+    // oracle, at suite scale and at FPVA scale. `fpva_10k` would add
+    // seconds to a debug run, so the tier stops at 4k.
+    let fpva = ["fpva_1k", "fpva_4k"]
+        .map(|name| parchmint_suite::by_name(name).expect("registered FPVA tier"));
+    for benchmark in suite().into_iter().chain(fpva) {
+        let device = benchmark.device();
+        for json in [device.to_json(), device.to_json_pretty()] {
+            let json = json.expect("serialize");
+            let parsed = Device::from_json(&json).expect("from_json");
+            let oracle: Device = serde_json::from_str(&json).expect("oracle");
+            assert_eq!(parsed, device, "{}: from_json lost data", benchmark.name());
+            assert_eq!(oracle, device, "{}: oracle lost data", benchmark.name());
+        }
+    }
+}
+
+#[test]
 fn serialization_is_byte_stable() {
     for benchmark in suite() {
         let a = benchmark.device().to_json().unwrap();
