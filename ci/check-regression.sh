@@ -1,59 +1,51 @@
 #!/usr/bin/env bash
-# Runs the full benchmark suite through the evaluation harness and gates on
-# the committed baseline report. Usage:
+# Gates one full sweep of the benchmark registry on both committed
+# baselines. Usage:
 #
-#   ci/check-regression.sh [BENCH...]
+#   ci/check-regression.sh
 #
-# With no arguments the whole registry is swept (this is what CI's gate job
-# does); naming benchmarks restricts the sweep for a quick local check.
-# Exits non-zero if any quality metric regresses beyond the tolerance, if
-# any cell errors or panics, or (full sweeps only) if the stripped report
-# is not byte-identical to the committed baseline. On a byte mismatch the
-# script explains itself: `parchmint report-diff` prints one line per
-# changed cell (benchmark, stage, and the keys that changed) before the
-# non-zero exit.
+# The script builds the CLI and sweeps the whole registry once, stripped
+# of timings, into report.json. suite-run itself exits non-zero if any
+# cell errors or panics. The report then goes through two gates:
 #
-# Set SUITE_TRACE=trace.json to also capture an observability trace of the
-# sweep. The trace is a diagnostic artifact only — it never participates in
-# the baseline comparison, and its timing section is machine-dependent.
+# 1. Byte gate: report.json must be byte-identical to
+#    ci/baseline-report.json. On a mismatch `parchmint report-diff`
+#    explains it, one line per difference: a changed top-level member, a
+#    cell on one side only, a cell's changed status, detail and metrics,
+#    or the same cells in another order.
+# 2. Quality gate: `parchmint quality-check` holds every pnr cell's
+#    quality metrics (failed nets, wirelength, HPWL, bends, max
+#    congestion) within the per-metric tolerances recorded in
+#    ci/baseline-quality.json: any newly failed net or a >2% wirelength
+#    regression fails. It runs even after a byte mismatch, since it is
+#    what tells an intended layout change from a quality regression.
 #
-# To refresh the baseline after an intentional quality change:
+# The script exits non-zero if either gate fails.
+#
+# To refresh both baselines after an intentional quality change:
 #
 #   cargo run --release -p parchmint-cli -- \
 #     suite-run --strip-timings -o ci/baseline-report.json
+#   cargo run --release -p parchmint-cli -- \
+#     quality-baseline ci/baseline-report.json -o ci/baseline-quality.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASELINE=ci/baseline-report.json
-TOLERANCE="${SUITE_TOLERANCE:-0.0}"
-REPORT="${SUITE_REPORT:-report.json}"
-TRACE="${SUITE_TRACE:-}"
-
-TRACE_ARGS=()
-if [[ -n "$TRACE" ]]; then
-  TRACE_ARGS=(--trace "$TRACE")
-fi
+QUALITY=ci/baseline-quality.json
+REPORT=report.json
 
 cargo build --release -p parchmint-cli
-target/release/parchmint suite-run "$@" \
-  --threads 0 \
-  -o "$REPORT" \
-  --baseline "$BASELINE" \
-  --tolerance "$TOLERANCE" \
-  "${TRACE_ARGS[@]}"
+target/release/parchmint suite-run --threads 0 --strip-timings -o "$REPORT"
 
-# The metric gate above allows tolerated drift; full sweeps additionally
-# demand byte-identity of the stripped report, with report-diff as the
-# explanation when bytes disagree.
-if [[ $# -eq 0 ]]; then
-  STRIPPED="$REPORT.stripped"
-  target/release/parchmint suite-run \
-    --threads 0 --strip-timings -o "$STRIPPED"
-  if ! cmp -s "$STRIPPED" "$BASELINE"; then
-    echo "stripped report differs from $BASELINE; per-cell diff:" >&2
-    target/release/parchmint report-diff "$BASELINE" "$STRIPPED" || true
-    echo "check-regression: stripped report is not byte-identical to $BASELINE" >&2
-    exit 1
-  fi
-  echo "stripped report is byte-identical to $BASELINE"
+status=0
+if cmp -s "$REPORT" "$BASELINE"; then
+  echo "report is byte-identical to $BASELINE"
+else
+  echo "report differs from $BASELINE:" >&2
+  target/release/parchmint report-diff "$BASELINE" "$REPORT" || true
+  echo "check-regression: report is not byte-identical to $BASELINE" >&2
+  status=1
 fi
+target/release/parchmint quality-check "$QUALITY" "$REPORT" || status=1
+exit "$status"

@@ -9,10 +9,10 @@
 //! parchmint convert <FILE.json|FILE.mint> [-o FILE]  convert between formats (E5)
 //! parchmint pnr <name> [--placer P] [--router R] [-o FILE]   place & route (E4)
 //! parchmint plan <FILE|name> <from> <to>      valve-state control synthesis
-//! parchmint suite-run [BENCH...] [-o FILE] [--trace FILE] [--pareto FILE]   parallel suite evaluation + regression gate
+//! parchmint suite-run [BENCH...] [-o FILE] [--trace FILE] [--pareto FILE]   parallel suite evaluation
 //! parchmint quality-baseline <REPORT> [-o FILE]   extract a quality baseline from a suite report
 //! parchmint quality-check <BASELINE> <REPORT>     gate a report against a quality baseline
-//! parchmint report-diff <BASELINE> <CURRENT>      per-cell structural diff of two suite reports
+//! parchmint report-diff <BASELINE> <CURRENT>      structural diff of two suite reports
 //! parchmint serve [--tcp ADDR] [--workers N]      compilation-as-a-service daemon
 //! parchmint submit --addr HOST:PORT [BENCH...]    submit designs to a running daemon
 //! parchmint chaos-proxy PLAN.json --upstream ADDR deterministic wire-fault proxy
@@ -83,8 +83,8 @@ USAGE:
   parchmint plan <FILE|benchmark> <from> <to>
   parchmint flow <FILE|benchmark> <node=Pa>... (e.g. in_a=1000 out=0)
   parchmint suite-run [BENCH...] [--threads N] [-o FILE] [--strip-timings]
-                      [--baseline FILE] [--tolerance FRAC] [--trace FILE]
-                      [--pareto FILE] [--faults PLAN.json] [--deadline-ms N] [--fuel N]
+                      [--trace FILE] [--pareto FILE] [--faults PLAN.json]
+                      [--deadline-ms N] [--fuel N]
   parchmint quality-baseline <REPORT.json> [-o FILE]
   parchmint quality-check <BASELINE.json> <REPORT.json>
   parchmint report-diff <BASELINE.json> <CURRENT.json>
@@ -347,8 +347,6 @@ fn cmd_suite_run(args: &[String]) -> Result<(), String> {
         &[
             "--threads",
             "-o",
-            "--baseline",
-            "--tolerance",
             "--trace",
             "--pareto",
             "--faults",
@@ -361,34 +359,14 @@ fn cmd_suite_run(args: &[String]) -> Result<(), String> {
     .map(str::to_string)
     .collect();
 
-    if option_value(args, "--faults").is_some() && option_value(args, "--baseline").is_some() {
-        return Err(
-            "suite-run: --faults cannot be combined with --baseline (a faulted sweep is \
-             deliberately not comparable to a clean baseline)"
-                .into(),
-        );
-    }
-
-    let mut builder = parchmint_harness::SuiteRunConfig::builder().benchmarks(benchmarks);
+    let trace_path = option_value(args, "--trace");
+    let mut builder = parchmint_harness::SuiteRunConfig::builder()
+        .benchmarks(benchmarks)
+        .tracing(trace_path.is_some());
     if let Some(text) = option_value(args, "--threads") {
         builder = builder.threads(
             text.parse()
                 .map_err(|_| format!("suite-run: bad thread count `{text}`"))?,
-        );
-    }
-    if let Some(path) = option_value(args, "--trace") {
-        builder = builder.trace(path);
-    }
-    if let Some(path) = option_value(args, "--pareto") {
-        builder = builder.pareto(path);
-    }
-    if let Some(path) = option_value(args, "--baseline") {
-        builder = builder.baseline(path);
-    }
-    if let Some(text) = option_value(args, "--tolerance") {
-        builder = builder.tolerance(
-            text.parse()
-                .map_err(|_| format!("suite-run: bad tolerance `{text}`"))?,
         );
     }
     if let Some(text) = option_value(args, "--deadline-ms") {
@@ -417,43 +395,19 @@ fn cmd_suite_run(args: &[String]) -> Result<(), String> {
         println!("report written to {path}");
     }
 
-    if let Some(path) = config.trace() {
+    if let Some(path) = trace_path {
         std::fs::write(path, report.trace_json_string(include_timings))
-            .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-        println!("trace written to {}", path.display());
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        println!("trace written to {path}");
     }
 
-    if let Some(path) = config.pareto() {
+    if let Some(path) = option_value(args, "--pareto") {
         std::fs::write(
             path,
             parchmint_harness::pareto_json_string(&report, include_timings),
         )
-        .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-        println!("pareto sweep written to {}", path.display());
-    }
-
-    if let Some(path) = config.baseline() {
-        let path = path.display().to_string();
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read baseline `{path}`: {e}"))?;
-        let baseline: serde_json::Value =
-            serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-        let tolerances = match config.tolerance() {
-            Some(relative) => parchmint_harness::Tolerances { relative },
-            None => parchmint_harness::Tolerances::default(),
-        };
-        let regressions =
-            parchmint_harness::compare(&baseline, &report.to_json(false), &tolerances);
-        if !regressions.is_empty() {
-            for regression in &regressions {
-                eprintln!("regression: {regression}");
-            }
-            return Err(format!(
-                "suite-run: {} regression(s) against baseline {path}",
-                regressions.len()
-            ));
-        }
-        println!("no regressions against {path}");
+        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        println!("pareto sweep written to {path}");
     }
 
     if let Some(plan) = config.faults() {
@@ -598,8 +552,8 @@ fn cmd_quality_check(args: &[String]) -> Result<(), String> {
     ))
 }
 
-/// Structurally diffs two suite reports, printing one line per changed
-/// cell (benchmark, stage, and which keys changed) — the explanation step
+/// Structurally diffs two suite reports, printing one line per
+/// difference ([`parchmint_harness::report_diff`]) — the explanation step
 /// behind the byte-compare regression gate.
 fn cmd_report_diff(args: &[String]) -> Result<(), String> {
     let positionals = positionals_of(args, &[]);
@@ -608,95 +562,25 @@ fn cmd_report_diff(args: &[String]) -> Result<(), String> {
     };
     let baseline = read_json(baseline_path)?;
     let current = read_json(current_path)?;
-
-    let index = |report: &serde_json::Value| {
-        let mut cells = std::collections::BTreeMap::new();
-        if let Some(array) = report.get("cells").and_then(serde_json::Value::as_array) {
-            for cell in array {
-                if let (Some(benchmark), Some(stage)) = (
-                    cell.get("benchmark").and_then(serde_json::Value::as_str),
-                    cell.get("stage").and_then(serde_json::Value::as_str),
-                ) {
-                    cells.insert(format!("{benchmark}/{stage}"), cell.clone());
-                }
-            }
-        }
-        cells
-    };
-    let base_cells = index(&baseline);
-    let cur_cells = index(&current);
-
-    let mut keys: Vec<&String> = base_cells.keys().chain(cur_cells.keys()).collect();
-    keys.sort();
-    keys.dedup();
-
-    let mut changed = 0usize;
-    for key in keys {
-        match (base_cells.get(key), cur_cells.get(key)) {
-            (Some(_), None) => {
-                changed += 1;
-                println!("{key}: only in baseline");
-            }
-            (None, Some(_)) => {
-                changed += 1;
-                println!("{key}: only in current");
-            }
-            (Some(base), Some(cur)) => {
-                let mut deltas = Vec::new();
-                for field in ["status", "detail"] {
-                    let (b, c) = (base.get(field), cur.get(field));
-                    if b != c {
-                        let show = |v: Option<&serde_json::Value>| match v {
-                            Some(v) => v.to_string(),
-                            None => "absent".to_string(),
-                        };
-                        deltas.push(format!("{field} {} -> {}", show(b), show(c)));
-                    }
-                }
-                let metrics = |cell: &serde_json::Value| {
-                    cell.get("metrics")
-                        .and_then(serde_json::Value::as_object)
-                        .cloned()
-                        .unwrap_or_default()
-                };
-                let (bm, cm) = (metrics(base), metrics(cur));
-                let mut names: Vec<&String> = bm.keys().chain(cm.keys()).collect();
-                names.sort();
-                names.dedup();
-                for name in names {
-                    let (b, c) = (bm.get(name.as_str()), cm.get(name.as_str()));
-                    if b != c {
-                        let show = |v: Option<&serde_json::Value>| match v {
-                            Some(v) => v.to_string(),
-                            None => "absent".to_string(),
-                        };
-                        deltas.push(format!("{name} {} -> {}", show(b), show(c)));
-                    }
-                }
-                if !deltas.is_empty() {
-                    changed += 1;
-                    println!("{key}: {}", deltas.join(", "));
-                }
-            }
-            (None, None) => unreachable!("key came from one of the maps"),
-        }
+    let lines = parchmint_harness::report_diff(&baseline, &current);
+    if lines.is_empty() {
+        let cells = baseline
+            .get("cells")
+            .and_then(serde_json::Value::as_array)
+            .map_or(0, Vec::len);
+        println!("reports structurally identical: {cells} cell(s) compared");
+        return Ok(());
     }
-
-    if changed == 0 {
-        println!(
-            "reports structurally identical: {} cell(s) compared",
-            base_cells.len()
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "report-diff: {changed} cell(s) differ between {baseline_path} and {current_path}"
-        ))
+    for line in &lines {
+        println!("{line}");
     }
+    Err(format!(
+        "report-diff: {} difference(s) between {baseline_path} and {current_path}",
+        lines.len()
+    ))
 }
 
-/// Parses the shared execution-bound flags (`--deadline-ms`, `--fuel`,
-/// `--faults`) used by both `serve` and `suite-run`-style commands.
+/// Reads the fault plan named by `--faults` (`serve` and `suite-run`).
 fn parse_fault_plan(command: &str, path: &str) -> Result<parchmint_resilience::FaultPlan, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{command}: cannot read fault plan `{path}`: {e}"))?;

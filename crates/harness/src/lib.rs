@@ -6,10 +6,11 @@
 //! control-plan synthesis — collecting structured per-stage metrics and
 //! wall-clock timings into a deterministic, diffable JSON report.
 //!
-//! This is the engine behind `parchmint suite-run` and the CI regression
-//! gate: a report captured from a known-good revision is committed as a
-//! baseline, and [`baseline::compare`] flags any quality-metric drift beyond
-//! configured tolerances.
+//! This is the engine behind `parchmint suite-run` and the CI gates: a
+//! stripped report from a known-good revision is committed as a baseline
+//! that a fresh sweep must match byte for byte, [`report_diff`] names what
+//! differs when it does not, and [`compare_quality`] bounds quality drift
+//! against a committed quality baseline.
 //!
 //! Design points:
 //!
@@ -46,7 +47,6 @@
 // `catch_unwind` is the whole point of the harness; everything else is safe.
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod batch;
 pub mod engine;
 pub mod matrix;
@@ -56,14 +56,13 @@ pub mod report;
 pub mod runner;
 pub mod stage;
 
-pub use baseline::{compare, Regression, Tolerances};
 pub use batch::shard_map;
 pub use engine::{compile_device, execute_stage, CompileExec, ExecPolicy, StageExec};
 pub use matrix::{resolve_matrix, select_benchmarks, select_stages, stage_matches, ResolvedMatrix};
 pub use pareto::{pareto_json, pareto_json_string, pareto_rows, ParetoPoint, ParetoRow};
 pub use quality::{
-    compare_quality, quality_baseline_json, quality_baseline_string, QualityRegression,
-    QUALITY_SCHEMA,
+    compare_quality, quality_baseline_json, quality_baseline_string, report_diff,
+    QualityRegression, QUALITY_SCHEMA,
 };
 pub use report::{Cell, CellStatus, StatusCounts, SuiteReport};
 pub use runner::{run_matrix, run_suite, SuiteRunConfig, SuiteRunConfigBuilder, MAX_ATTEMPTS};

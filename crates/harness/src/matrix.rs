@@ -1,10 +1,12 @@
 //! Resolving benchmark and stage selections into a concrete sweep matrix.
 //!
-//! Every front end that names benchmarks or stages — `suite-run`, the
-//! quality-gate subcommands, and the `parchmint serve` daemon — shares
-//! this one resolver, so a typo behaves identically everywhere: it
-//! becomes a visible `failed` cell (or a structured wire error), never a
-//! silently shrunk sweep.
+//! `suite-run` and the `parchmint submit` client resolve their benchmark
+//! and stage names through this one resolver, so a typo behaves the same
+//! in both: it becomes a visible `failed` cell, never a silently shrunk
+//! sweep. The `parchmint serve` daemon selects stages itself
+//! (`Service::select_stages`) and shares only [`stage_matches`], so a
+//! selector names the same stages there, and an unknown one also ends as
+//! a `failed` cell.
 
 use crate::report::{Cell, CellStatus};
 use crate::stage::{standard_stages, Stage};

@@ -1,7 +1,9 @@
-//! The quality gate: per-metric tolerance comparison for CI.
+//! Comparing suite reports: the structural diff behind the byte gate, and
+//! the per-metric tolerance gate for CI.
 //!
-//! The byte-compare regression gate proves *determinism*; this module
-//! proves *quality*. A committed `parchmint-quality-baseline/v1` file
+//! The byte-compare regression gate proves *determinism*, and
+//! [`report_diff`] names what changed when it fails; the rest of this
+//! module proves *quality*. A committed `parchmint-quality-baseline/v1` file
 //! records, for every `pnr:*` cell of a known-good sweep, the quality
 //! metrics that downstream scheduling actually depends on — failed nets,
 //! wirelength, HPWL, bends, congestion — together with the per-metric
@@ -16,6 +18,7 @@
 //! reviewable diff, not a CI-config change.
 
 use serde_json::{Map, Value};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Schema identifier of the committed quality baseline.
 pub const QUALITY_SCHEMA: &str = "parchmint-quality-baseline/v1";
@@ -151,19 +154,7 @@ pub fn compare_quality(baseline: &Value, current: &Value) -> Vec<QualityRegressi
     let Some(baseline_cells) = baseline.get("cells").and_then(Value::as_object) else {
         return regressions;
     };
-
-    // Index current report cells by key.
-    let mut current_cells: Map = Map::new();
-    if let Some(cells) = current.get("cells").and_then(Value::as_array) {
-        for cell in cells {
-            if let (Some(benchmark), Some(stage)) = (
-                cell.get("benchmark").and_then(Value::as_str),
-                cell.get("stage").and_then(Value::as_str),
-            ) {
-                current_cells.insert(format!("{benchmark}/{stage}"), cell.clone());
-            }
-        }
-    }
+    let current_cells = index_cells(current);
 
     for (key, base_metrics) in baseline_cells {
         let cur_metrics = current_cells
@@ -206,10 +197,109 @@ pub fn compare_quality(baseline: &Value, current: &Value) -> Vec<QualityRegressi
     regressions
 }
 
+/// Lists every difference between two suite reports (the JSON of
+/// [`crate::SuiteReport::to_json`]), one line each; empty when they agree.
+///
+/// This explains a failed byte compare. Every top-level member except
+/// `cells` and the machine-dependent `timing` section is compared whole
+/// (`schema: "a" -> "b"`). Cells are matched by `benchmark/stage`: a cell
+/// on one side only is named as such, and a changed cell gets one line
+/// listing each member that changed, with metrics compared one by one
+/// (`chip/validate: status "ok" -> "error", errors 0 -> 1`). Equal cells
+/// in another order or number get one `cells:` line. Since `timing` is
+/// skipped, a timed report and its stripped form show no difference.
+pub fn report_diff(baseline: &Value, current: &Value) -> Vec<String> {
+    let show = |value: Option<&Value>| value.map_or_else(|| "absent".to_string(), Value::to_string);
+    let mut lines: Vec<String> = member_changes(baseline.as_object(), current.as_object())
+        .into_iter()
+        .filter(|(name, _, _)| !matches!(*name, "cells" | "timing"))
+        .map(|(name, base, cur)| format!("{name}: {} -> {}", show(base), show(cur)))
+        .collect();
+
+    let base_cells = index_cells(baseline);
+    let cur_cells = index_cells(current);
+    let keys: BTreeSet<&String> = base_cells.keys().chain(cur_cells.keys()).collect();
+    for key in keys {
+        let (base, cur) = match (base_cells.get(key), cur_cells.get(key)) {
+            (Some(base), Some(cur)) => (base, cur),
+            (Some(_), None) => {
+                lines.push(format!("{key}: only in baseline"));
+                continue;
+            }
+            _ => {
+                lines.push(format!("{key}: only in current"));
+                continue;
+            }
+        };
+        let mut deltas = Vec::new();
+        for (name, b, c) in member_changes(base.as_object(), cur.as_object()) {
+            if name == "metrics" {
+                let metrics =
+                    member_changes(b.and_then(Value::as_object), c.and_then(Value::as_object));
+                for (metric, b, c) in metrics {
+                    deltas.push(format!("{metric} {} -> {}", show(b), show(c)));
+                }
+            } else {
+                deltas.push(format!("{name} {} -> {}", show(b), show(c)));
+            }
+        }
+        if !deltas.is_empty() {
+            lines.push(format!("{key}: {}", deltas.join(", ")));
+        }
+    }
+    // Cells that match pairwise can still differ in order or repetition.
+    let keys = |report| keyed_cells(report).map(|(key, _)| key).collect::<Vec<_>>();
+    if lines.is_empty() && keys(baseline) != keys(current) {
+        lines.push("cells: the same cells in another order or number".to_string());
+    }
+    lines
+}
+
+/// A report's cells with their `benchmark/stage` keys, in array order.
+fn keyed_cells(report: &Value) -> impl Iterator<Item = (String, &Value)> {
+    let cells = report.get("cells").and_then(Value::as_array);
+    cells.into_iter().flatten().filter_map(|cell| {
+        let benchmark = cell.get("benchmark")?.as_str()?;
+        let stage = cell.get("stage")?.as_str()?;
+        Some((format!("{benchmark}/{stage}"), cell))
+    })
+}
+
+/// Indexes a report's `cells` array by `benchmark/stage`.
+fn index_cells(report: &Value) -> BTreeMap<String, &Value> {
+    keyed_cells(report).collect()
+}
+
+/// The members whose values differ between two JSON objects, in name
+/// order, each with its value on either side (`None` where absent).
+fn member_changes<'a>(
+    base: Option<&'a Map<String, Value>>,
+    cur: Option<&'a Map<String, Value>>,
+) -> Vec<(&'a str, Option<&'a Value>, Option<&'a Value>)> {
+    let names: BTreeSet<&str> = base
+        .into_iter()
+        .chain(cur)
+        .flat_map(Map::keys)
+        .map(String::as_str)
+        .collect();
+    names
+        .into_iter()
+        .filter_map(|name| {
+            let (b, c) = (
+                base.and_then(|m| m.get(name)),
+                cur.and_then(|m| m.get(name)),
+            );
+            (b != c).then_some((name, b, c))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{Cell, CellStatus, SuiteReport};
     use serde_json::json;
+    use std::time::Duration;
 
     fn report(wirelength: i64, failed_nets: i64) -> Value {
         json!({
@@ -286,6 +376,105 @@ mod tests {
         let regressions = compare_quality(&baseline, &broken);
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].metric, "presence");
+    }
+
+    #[test]
+    fn identical_reports_have_no_diff() {
+        assert!(report_diff(&report(1000, 0), &report(1000, 0)).is_empty());
+    }
+
+    #[test]
+    fn diff_names_each_changed_metric() {
+        assert_eq!(
+            report_diff(&report(1000, 0), &report(1021, 1)),
+            ["chip/pnr:greedy+negotiate: failed_nets 0 -> 1, wirelength 1000 -> 1021"]
+        );
+    }
+
+    /// `report(1000, 0)` with `edit` applied to its cells array.
+    fn edited(edit: impl FnOnce(&mut Vec<Value>)) -> Value {
+        let mut report = report(1000, 0);
+        match report
+            .as_object_mut()
+            .and_then(|root| root.get_mut("cells"))
+        {
+            Some(Value::Array(cells)) => edit(cells),
+            _ => unreachable!("the fixture has a cells array"),
+        }
+        report
+    }
+
+    #[test]
+    fn diff_names_a_status_change() {
+        let broken = edited(|cells| {
+            let validate = cells[1].as_object_mut().expect("cell object");
+            validate.insert("status".to_string(), json!("error"));
+        });
+        assert_eq!(
+            report_diff(&report(1000, 0), &broken),
+            [r#"chip/validate: status "ok" -> "error""#]
+        );
+    }
+
+    #[test]
+    fn diff_names_a_cell_on_one_side_only() {
+        let fewer = edited(|cells| {
+            cells.remove(1);
+        });
+        assert_eq!(
+            report_diff(&report(1000, 0), &fewer),
+            ["chip/validate: only in baseline"]
+        );
+        assert_eq!(
+            report_diff(&fewer, &report(1000, 0)),
+            ["chip/validate: only in current"]
+        );
+    }
+
+    #[test]
+    fn diff_notices_reordered_cells() {
+        let swapped = edited(|cells| cells.swap(0, 1));
+        assert_eq!(
+            report_diff(&report(1000, 0), &swapped),
+            ["cells: the same cells in another order or number"]
+        );
+    }
+
+    #[test]
+    fn diff_names_a_top_level_change() {
+        let mut renamed = report(1000, 0);
+        renamed
+            .as_object_mut()
+            .expect("report object")
+            .insert("schema".to_string(), json!("parchmint-suite-report/v2"));
+        assert_eq!(
+            report_diff(&report(1000, 0), &renamed),
+            [r#"schema: "parchmint-suite-report/v1" -> "parchmint-suite-report/v2""#]
+        );
+    }
+
+    #[test]
+    fn timed_report_has_no_diff_with_its_stripped_form() {
+        let cell = Cell {
+            benchmark: "chip".to_string(),
+            stage: "validate".to_string(),
+            status: CellStatus::Ok,
+            detail: None,
+            metrics: [("errors".to_string(), json!(0))].into(),
+            wall: Duration::from_millis(7),
+            trace: None,
+        };
+        let suite = SuiteReport {
+            cells: vec![cell],
+            stages: vec!["validate".to_string()],
+            threads: 2,
+            total_wall: Duration::from_millis(9),
+            compile_walls: vec![("chip".to_string(), Duration::from_millis(2))],
+            compile_traces: Vec::new(),
+        };
+        let timed = suite.to_json(true);
+        assert!(timed.get("timing").is_some());
+        assert!(report_diff(&suite.to_json(false), &timed).is_empty());
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::stage::Stage;
 use parchmint_resilience::FaultPlan;
 use parchmint_suite::Benchmark;
 use std::cmp::Reverse;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -35,20 +34,17 @@ pub use crate::engine::MAX_ATTEMPTS;
 /// let config = SuiteRunConfig::builder()
 ///     .threads(2)
 ///     .benchmarks(["logic_gate_or"])
-///     .trace("trace.json")
+///     .tracing(true)
 ///     .build();
 /// assert_eq!(config.threads(), 2);
-/// assert!(config.trace().is_some());
+/// assert!(config.tracing());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SuiteRunConfig {
     threads: usize,
     benchmarks: Option<Vec<String>>,
     stages: Option<Vec<String>>,
-    trace: Option<PathBuf>,
-    pareto: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    tolerance: Option<f64>,
+    tracing: bool,
     deadline: Option<Duration>,
     fuel: Option<u64>,
     faults: Option<FaultPlan>,
@@ -77,27 +73,11 @@ impl SuiteRunConfig {
         self.stages.as_deref()
     }
 
-    /// Where to write the observability trace; `None` disables tracing
-    /// (the pipeline then runs with the no-op recorder path).
-    pub fn trace(&self) -> Option<&Path> {
-        self.trace.as_deref()
-    }
-
-    /// Where to write the Pareto sweep JSON (quality-vs-wall-time points
-    /// for every placer×router cell); `None` disables the sweep output.
-    pub fn pareto(&self) -> Option<&Path> {
-        self.pareto.as_deref()
-    }
-
-    /// Baseline report to gate against; `None` skips the gate.
-    pub fn baseline(&self) -> Option<&Path> {
-        self.baseline.as_deref()
-    }
-
-    /// Relative tolerance for the baseline gate; `None` means the
-    /// gate's default.
-    pub fn tolerance(&self) -> Option<f64> {
-        self.tolerance
+    /// Whether every compile and stage records observability events, so
+    /// the report carries trace summaries; when off, no recorder is
+    /// installed and instrumentation does no trace-only work.
+    pub fn tracing(&self) -> bool {
+        self.tracing
     }
 
     /// Per-stage wall-clock deadline; `None` means unbounded.
@@ -164,27 +144,11 @@ impl SuiteRunConfigBuilder {
         self
     }
 
-    /// Enables tracing and sets the trace-file destination.
-    pub fn trace(mut self, path: impl Into<PathBuf>) -> Self {
-        self.config.trace = Some(path.into());
-        self
-    }
-
-    /// Enables the Pareto sweep output and sets its destination.
-    pub fn pareto(mut self, path: impl Into<PathBuf>) -> Self {
-        self.config.pareto = Some(path.into());
-        self
-    }
-
-    /// Sets the baseline report for the regression gate.
-    pub fn baseline(mut self, path: impl Into<PathBuf>) -> Self {
-        self.config.baseline = Some(path.into());
-        self
-    }
-
-    /// Sets the relative metric tolerance for the regression gate.
-    pub fn tolerance(mut self, fraction: f64) -> Self {
-        self.config.tolerance = Some(fraction);
+    /// Turns observability recording on or off for every compile and
+    /// stage (off by default). The report then carries the trace
+    /// summaries; writing them anywhere is the caller's business.
+    pub fn tracing(mut self, on: bool) -> Self {
+        self.config.tracing = on;
         self
     }
 
@@ -252,7 +216,7 @@ pub fn run_matrix(
     config: &SuiteRunConfig,
 ) -> SuiteReport {
     let started = Instant::now();
-    let tracing = config.trace().is_some();
+    let tracing = config.tracing();
     let policy = config.exec_policy();
     let workers = if config.threads() == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -462,7 +426,7 @@ mod tests {
     fn tracing_attaches_summaries_to_cells() {
         let benchmarks = tiny_suite();
         let stages = standard_stages();
-        let config = SuiteRunConfig::builder().threads(2).trace("unused").build();
+        let config = SuiteRunConfig::builder().threads(2).tracing(true).build();
         let report = run_matrix(&benchmarks, &stages, &config);
         assert!(report.has_traces());
         // Compile is instrumented, so every benchmark has a compile trace.
@@ -524,10 +488,7 @@ mod tests {
             .threads(3)
             .benchmarks(["a", "b"])
             .stages(["validate"])
-            .trace("t.json")
-            .pareto("pareto.json")
-            .baseline("base.json")
-            .tolerance(0.25)
+            .tracing(true)
             .deadline(Duration::from_millis(50))
             .fuel(1_000)
             .faults(FaultPlan::single("pnr.place", FaultKind::Panic))
@@ -535,10 +496,7 @@ mod tests {
         assert_eq!(config.threads(), 3);
         assert_eq!(config.benchmarks(), Some(&["a".into(), "b".into()][..]));
         assert_eq!(config.stages(), Some(&["validate".into()][..]));
-        assert_eq!(config.trace(), Some(Path::new("t.json")));
-        assert_eq!(config.pareto(), Some(Path::new("pareto.json")));
-        assert_eq!(config.baseline(), Some(Path::new("base.json")));
-        assert_eq!(config.tolerance(), Some(0.25));
+        assert!(config.tracing());
         assert_eq!(config.deadline(), Some(Duration::from_millis(50)));
         assert_eq!(config.fuel(), Some(1_000));
         assert!(config.faults().is_some());
@@ -547,7 +505,7 @@ mod tests {
             .benchmarks(Vec::<String>::new())
             .build();
         assert!(open.benchmarks().is_none());
-        assert!(open.trace().is_none());
+        assert!(!open.tracing());
         assert!(
             !open.exec_policy().is_bounded(),
             "no budget unless configured"

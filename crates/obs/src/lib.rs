@@ -32,7 +32,7 @@ mod scope;
 mod summary;
 
 pub use event::{Event, EventKind};
-pub use metrics::{Counter, Histogram};
-pub use recorder::{Collector, NoopRecorder, Recorder};
+pub use metrics::Histogram;
+pub use recorder::{Collector, Recorder};
 pub use scope::{count, enabled, observe, sample, with_recorder, Span};
 pub use summary::{SpanStats, TraceSummary};

@@ -1,49 +1,4 @@
-//! Typed metric helpers: atomic counters and log-scale histograms.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A named monotonic counter for hot loops.
-///
-/// Instrumented code accumulates locally (one atomic add per increment,
-/// no recorder lookup) and calls [`Counter::flush`] once at the end of
-/// the hot region, turning millions of increments into a single event.
-#[derive(Debug)]
-pub struct Counter {
-    name: &'static str,
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new(name: &'static str) -> Self {
-        Counter {
-            name,
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// The metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Adds `delta`.
-    pub fn add(&self, delta: u64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Emits the accumulated value as one [`crate::count`] event and
-    /// resets to zero. A zero total still emits, so trace keys are
-    /// stable across inputs.
-    pub fn flush(&self) {
-        crate::count(self.name, self.value.swap(0, Ordering::Relaxed));
-    }
-}
+//! The log-scale histogram behind a trace summary's observations.
 
 /// Bucket count for [`Histogram`]: bucket 0 holds zero, bucket `i`
 /// (1..=64) holds values in `2^(i-1) .. 2^i`.
@@ -162,16 +117,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates_and_flushes() {
-        static MOVES: Counter = Counter::new("test.moves");
-        MOVES.add(3);
-        MOVES.add(4);
-        assert_eq!(MOVES.get(), 7);
-        MOVES.flush(); // no recorder installed: value still resets
-        assert_eq!(MOVES.get(), 0);
-    }
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {

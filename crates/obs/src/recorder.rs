@@ -1,4 +1,4 @@
-//! Recorder trait and the two bundled implementations.
+//! The recorder trait and the bundled collecting implementation.
 
 use crate::event::Event;
 use crate::summary::TraceSummary;
@@ -14,29 +14,6 @@ use std::sync::Mutex;
 pub trait Recorder: Send + Sync {
     /// Consumes one event.
     fn record(&self, event: Event);
-
-    /// Whether emission should happen at all. Instrumented code consults
-    /// this before doing any work that exists only to feed the recorder
-    /// (starting span clocks, computing residuals, sampling costs).
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The do-nothing recorder: events vanish and [`Recorder::is_enabled`]
-/// reports `false`, so instrumentation skips its trace-only work.
-///
-/// Installing it is equivalent to installing no recorder; it exists so
-/// call sites that always want *a* recorder value have a zero-cost one.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn record(&self, _event: Event) {}
-
-    fn is_enabled(&self) -> bool {
-        false
-    }
 }
 
 /// Number of independent shards in a [`Collector`]. Eight covers the
@@ -117,14 +94,6 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use std::sync::Arc;
-
-    #[test]
-    fn noop_recorder_is_disabled_and_silent() {
-        let noop = NoopRecorder;
-        assert!(!noop.is_enabled());
-        noop.record(Event::new("x", EventKind::Count(1)));
-        // Nothing observable: the noop recorder has no state at all.
-    }
 
     #[test]
     fn collector_preserves_single_thread_order() {

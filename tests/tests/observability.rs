@@ -5,15 +5,11 @@
 use parchmint_harness::{run_suite, SuiteRunConfig};
 
 fn config(threads: usize, traced: bool) -> SuiteRunConfig {
-    let mut builder = SuiteRunConfig::builder()
+    SuiteRunConfig::builder()
         .benchmarks(["logic_gate_or", "chromatin_immunoprecipitation"])
-        .threads(threads);
-    if traced {
-        // The path is never written by `run_suite` itself — it only flips
-        // the harness into recording mode; the CLI owns the file write.
-        builder = builder.trace("unused.json");
-    }
-    builder.build()
+        .threads(threads)
+        .tracing(traced)
+        .build()
 }
 
 #[test]
