@@ -12,8 +12,9 @@
 #      front end is evicted by the read timeout while a concurrent
 #      submission on the line protocol completes untouched;
 #   3. every injected fault is visible as a deterministic serve.net.*
-#      counter, no worker ever wedged (workers_respawned == 0), and
-#      the queue drains to zero.
+#      counter, no worker ever wedged (workers_respawned == 0), the
+#      queue drains to zero, and once nothing is in flight every
+#      submission has completed.
 #
 # Usage:
 #
@@ -137,15 +138,22 @@ print("slowloris dripper evicted with a 408 after the read timeout")
 EOF
 
 # --- Phase 3: the observability trail. Every fault kind must have
-# moved its deterministic counter, no worker was lost, and nothing is
-# stuck in the queue.
+# moved its deterministic counter, no worker was lost, nothing is stuck
+# in the queue, and the drained daemon completed every submission.
 python3 - "$ADDR" <<'EOF'
-import json, socket, sys
+import json, socket, sys, time
 
 host, port = sys.argv[1].rsplit(":", 1)
-with socket.create_connection((host, int(port))) as conn:
-    conn.sendall(b'{"op":"stats","id":"final"}\n')
-    stats = json.loads(conn.makefile().readline())["stats"]
+def fetch():
+    with socket.create_connection((host, int(port))) as conn:
+        conn.sendall(b'{"op":"stats","id":"final"}\n')
+        return json.loads(conn.makefile().readline())["stats"]
+
+deadline = time.monotonic() + 5
+stats = fetch()
+while stats["requests"]["in_flight"] != 0 and time.monotonic() < deadline:
+    time.sleep(0.05)
+    stats = fetch()
 
 with open("stats-final.json", "w") as f:
     json.dump(stats, f, indent=2, sort_keys=True)
@@ -162,6 +170,10 @@ at_least("serve.net.read_timeouts", 1)    # the slowloris eviction
 at_least("serve.net.conn.accepted", 5)    # 3 faulted + retries + live work
 assert stats["workers_respawned"] == 0, stats["workers_respawned"]
 assert stats["queue"]["depth"] == 0, stats["queue"]
+requests = stats["requests"]
+assert requests["in_flight"] == 0, f"still in flight after 5 s: {requests}"
+assert requests["submitted"] == requests["completed"], (
+    f"a drained daemon completed every submission: {requests}")
 print("fault counters:",
       {k: v for k, v in sorted(counters.items()) if k.startswith("serve.net.")})
 EOF

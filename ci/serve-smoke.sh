@@ -17,6 +17,9 @@
 #      suite from the disk spill tier — byte-identical again, zero
 #      recompiles.
 #
+# Before each shutdown the daemon must report nothing in flight and
+# every submission completed.
+#
 # Usage:
 #
 #   ci/serve-smoke.sh
@@ -53,6 +56,26 @@ start_daemon() { # $1 = log file
     exit 1
   fi
   echo "daemon is listening on $ADDR (http on $HTTP_ADDR)"
+}
+
+assert_drained() {
+  python3 - "$ADDR" <<'EOF'
+import json, socket, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+def requests():
+    with socket.create_connection((host, int(port))) as conn:
+        conn.sendall(b'{"op":"stats","id":"drain"}\n')
+        return json.loads(conn.makefile().readline())["stats"]["requests"]
+deadline = time.monotonic() + 5
+counts = requests()
+while counts["in_flight"] != 0 and time.monotonic() < deadline:
+    time.sleep(0.05)
+    counts = requests()
+assert counts["in_flight"] == 0, f"still in flight after 5 s: {counts}"
+assert counts["submitted"] == counts["completed"], (
+    f"a drained daemon completed every submission: {counts}")
+print(f"drained: {counts['submitted']} submissions, all completed")
+EOF
 }
 
 shutdown_daemon() {
@@ -198,6 +221,7 @@ EOF
 echo "http front end answered healthz, submit, batch, layouts, and stats"
 
 # --- Phase 5: clean shutdown.
+assert_drained
 shutdown_daemon
 echo "daemon exited cleanly after shutdown"
 
@@ -230,5 +254,6 @@ print(f"restarted daemon served {cache['entries']} designs "
       f"({cells} cells) from the spill tier with zero recompiles")
 EOF
 
+assert_drained
 shutdown_daemon
 echo "restarted daemon exited cleanly; spill tier verified"

@@ -36,28 +36,18 @@ pub const MAX_ATTEMPTS: u32 = 3;
 
 /// How stage attempts are budgeted and retried.
 ///
-/// The policy owns the attempt schedule: every execution path that wants
-/// harness-identical retry semantics builds one of these and calls
-/// [`execute_stage`], rather than looping over attempts itself.
-#[derive(Debug, Clone)]
+/// The policy owns the attempt schedule (up to [`MAX_ATTEMPTS`]): every
+/// execution path that wants harness-identical retry semantics builds
+/// one of these and calls [`execute_stage`], rather than looping over
+/// attempts itself.
+#[derive(Debug, Clone, Default)]
 pub struct ExecPolicy {
-    max_attempts: u32,
     deadline: Option<Duration>,
     fuel: Option<u64>,
 }
 
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy {
-            max_attempts: MAX_ATTEMPTS,
-            deadline: None,
-            fuel: None,
-        }
-    }
-}
-
 impl ExecPolicy {
-    /// The default policy: [`MAX_ATTEMPTS`], no deadline, no fuel limit.
+    /// The default policy: no deadline, no fuel limit.
     pub fn new() -> ExecPolicy {
         ExecPolicy::default()
     }
@@ -72,17 +62,6 @@ impl ExecPolicy {
     pub fn with_fuel(mut self, ticks: Option<u64>) -> ExecPolicy {
         self.fuel = ticks;
         self
-    }
-
-    /// Overrides the retry ceiling (clamped to at least one attempt).
-    pub fn with_max_attempts(mut self, attempts: u32) -> ExecPolicy {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// The retry ceiling.
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
     }
 
     /// Per-attempt wall-clock deadline, if any.
@@ -224,7 +203,7 @@ pub fn compile_device(
 /// - [`parchmint_resilience::PipelineError`] severities map to status:
 ///   `Fatal` → `error`, `Degraded` → `degraded`, `Retryable` → another
 ///   attempt with a bumped [`StageCtx::attempt`] (the deterministic seed
-///   bump) until [`ExecPolicy::max_attempts`], then `error`;
+///   bump) until [`MAX_ATTEMPTS`], then `error`;
 /// - an attempt that completes while its budget tripped ends `degraded` —
 ///   a partial result is never reported as a clean `ok`.
 pub fn execute_stage(
@@ -268,16 +247,13 @@ pub fn execute_stage(
             Ok(Err(error)) => {
                 let error = error.in_stage(&stage.name);
                 match error.severity {
-                    Severity::Retryable if attempt + 1 < policy.max_attempts() => {
+                    Severity::Retryable if attempt + 1 < MAX_ATTEMPTS => {
                         attempt += 1;
                         continue;
                     }
                     Severity::Retryable => (
                         CellStatus::Error,
-                        Some(format!(
-                            "{error} (after {} attempts)",
-                            policy.max_attempts()
-                        )),
+                        Some(format!("{error} (after {MAX_ATTEMPTS} attempts)")),
                         Default::default(),
                     ),
                     Severity::Degraded => (
@@ -326,7 +302,6 @@ mod tests {
     #[test]
     fn policy_defaults_and_bounds() {
         let policy = ExecPolicy::default();
-        assert_eq!(policy.max_attempts(), MAX_ATTEMPTS);
         assert!(!policy.is_bounded());
         assert!(policy.attempt_budget(false).is_none());
         assert!(
@@ -335,10 +310,8 @@ mod tests {
         );
         let bounded = ExecPolicy::new()
             .with_fuel(Some(10))
-            .with_deadline(Some(Duration::from_millis(5)))
-            .with_max_attempts(0);
+            .with_deadline(Some(Duration::from_millis(5)));
         assert!(bounded.is_bounded());
-        assert_eq!(bounded.max_attempts(), 1, "clamped to one attempt");
         assert_eq!(bounded.fuel(), Some(10));
         assert_eq!(bounded.deadline(), Some(Duration::from_millis(5)));
     }
@@ -363,14 +336,6 @@ mod tests {
         assert_eq!(exec.attempts, 3);
         assert_eq!(exec.metrics["attempt"], Value::from(2));
         assert_eq!(CALLS.load(Ordering::Relaxed), 3);
-
-        // A tighter ceiling exhausts earlier and says so.
-        let stage = Stage::new("never", |_, _| Err(PipelineError::retryable("no")));
-        let tight = ExecPolicy::new().with_max_attempts(2);
-        let exec = execute_stage(&stage, &compiled, &tight, None, false);
-        assert_eq!(exec.status, CellStatus::Error);
-        assert_eq!(exec.attempts, 2);
-        assert!(exec.detail.as_deref().unwrap().contains("after 2 attempts"));
     }
 
     #[test]

@@ -20,16 +20,18 @@ pub trait Recorder: Send + Sync {
 /// harness pool sizes we run without measurable contention.
 const SHARDS: usize = 8;
 
-/// A thread-safe collecting recorder: events land in one of a fixed set
-/// of `Mutex<Vec<Event>>` shards selected by the emitting thread's id, so
-/// concurrent stages never contend on a single lock.
+/// A thread-safe collecting recorder: each event is folded, as it
+/// arrives, into one of a fixed set of `Mutex<TraceSummary>` shards
+/// selected by the emitting thread's id, so concurrent stages never
+/// contend on a single lock and memory grows with the number of metric
+/// names (and sample values), not with the number of events.
 ///
 /// Within one thread, event order is preserved (a thread always hashes
-/// to the same shard); [`Collector::summary`] folds shards in index
+/// to the same shard); [`Collector::summary`] merges shards in index
 /// order, so single-threaded extents aggregate deterministically.
 #[derive(Debug, Default)]
 pub struct Collector {
-    shards: [Mutex<Vec<Event>>; SHARDS],
+    shards: [Mutex<TraceSummary>; SHARDS],
 }
 
 impl Collector {
@@ -38,43 +40,17 @@ impl Collector {
         Collector::default()
     }
 
-    fn shard(&self) -> &Mutex<Vec<Event>> {
+    fn shard(&self) -> &Mutex<TraceSummary> {
         let mut hasher = DefaultHasher::new();
         std::thread::current().id().hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % SHARDS]
     }
 
-    /// Total number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("collector shard poisoned").len())
-            .sum()
-    }
-
-    /// Whether no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains every shard into one vector, shard order then emission
-    /// order within each shard.
-    pub fn drain(&self) -> Vec<Event> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            all.append(&mut shard.lock().expect("collector shard poisoned"));
-        }
-        all
-    }
-
-    /// Aggregates the recorded events into a [`TraceSummary`] without
-    /// draining them.
+    /// Everything recorded so far, the shards merged in index order.
     pub fn summary(&self) -> TraceSummary {
         let mut summary = TraceSummary::default();
         for shard in &self.shards {
-            for event in shard.lock().expect("collector shard poisoned").iter() {
-                summary.record(*event);
-            }
+            summary.merge(&shard.lock().expect("collector shard poisoned"));
         }
         summary
     }
@@ -85,7 +61,7 @@ impl Recorder for Collector {
         self.shard()
             .lock()
             .expect("collector shard poisoned")
-            .push(event);
+            .record(event);
     }
 }
 
@@ -98,12 +74,25 @@ mod tests {
     #[test]
     fn collector_preserves_single_thread_order() {
         let c = Collector::new();
-        c.record(Event::new("a", EventKind::Count(1)));
-        c.record(Event::new("b", EventKind::Sample(2.0)));
-        c.record(Event::new("a", EventKind::Count(3)));
-        let events: Vec<&'static str> = c.drain().into_iter().map(|e| e.name).collect();
-        assert_eq!(events, ["a", "b", "a"]);
-        assert!(c.is_empty());
+        c.record(Event::new("s", EventKind::Sample(3.0)));
+        c.record(Event::new("c", EventKind::Count(1)));
+        c.record(Event::new("s", EventKind::Sample(1.0)));
+        c.record(Event::new("s", EventKind::Sample(2.0)));
+        assert_eq!(c.summary().samples["s"], [3.0, 1.0, 2.0]);
+        assert_eq!(c.summary().events, 4);
+    }
+
+    #[test]
+    fn collector_folds_events_as_they_arrive() {
+        let c = Collector::new();
+        for _ in 0..100_000 {
+            c.record(Event::new("folded", EventKind::Count(1)));
+        }
+        let entries: usize = (c.shards.iter())
+            .map(|shard| shard.lock().unwrap().counters.len())
+            .sum();
+        assert_eq!(entries, 1, "one folded entry, not one per event");
+        assert_eq!(c.summary().counters["folded"], 100_000);
     }
 
     #[test]

@@ -27,17 +27,19 @@
 //! that hands an entry to a request — memory lookup, spill load, a
 //! single-flight leader's re-check — compares it with the request's.
 //! A key holding another design's text is a [`Lookup::Collision`]:
-//! counted as a miss and under `collisions`, and the request runs
+//! counted as a miss and under `cache.collisions`, and the request runs
 //! uncached.
+//!
+//! The cache keeps no counters of its own: every hit, miss, collision
+//! and eviction is an obs count (`cache.*`) emitted to the thread's
+//! recorder, which in the daemon is the service's aggregate.
 
 use crate::hash;
 use crate::spill::Spill;
 use parchmint::ir::CompiledDevice;
 use parchmint_harness::StageExec;
-use serde_json::{json, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -186,33 +188,6 @@ pub enum Lookup {
     Collision,
 }
 
-/// A snapshot of every cache counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups served from the memory tier.
-    pub memory_hits: u64,
-    /// Lookups served by rehydrating a spill file.
-    pub spill_hits: u64,
-    /// Lookups that found nothing in any tier, or only another
-    /// design's entry.
-    pub misses: u64,
-    /// Probes whose key held another design's entry.
-    pub collisions: u64,
-    /// Stage cells replayed from a cached entry.
-    pub stage_hits: u64,
-    /// Stage cells that had to execute.
-    pub stage_misses: u64,
-    /// Requests that parked behind an identical in-flight execution
-    /// instead of duplicating it.
-    pub coalesced: u64,
-    /// Entries evicted from the memory tier by the byte budget.
-    pub evicted_entries: u64,
-    /// Approximate bytes reclaimed by those evictions.
-    pub evicted_bytes: u64,
-    /// Spill files that were present but could not be trusted.
-    pub spill_corrupt: u64,
-}
-
 struct Slot {
     entry: Arc<CacheEntry>,
     bytes: u64,
@@ -259,21 +234,11 @@ impl MemoryTier {
     }
 }
 
-/// The daemon-wide cache: memory tier, optional spill tier, and the
-/// counters the `stats` op reports.
+/// The daemon-wide cache: memory tier and optional spill tier.
 pub struct TieredCache {
     memory: Mutex<MemoryTier>,
     budget: Option<u64>,
     spill: Option<Spill>,
-    memory_hits: AtomicU64,
-    spill_hits: AtomicU64,
-    misses: AtomicU64,
-    collisions: AtomicU64,
-    stage_hits: AtomicU64,
-    stage_misses: AtomicU64,
-    coalesced: AtomicU64,
-    evicted_entries: AtomicU64,
-    evicted_bytes: AtomicU64,
 }
 
 impl Default for TieredCache {
@@ -295,15 +260,6 @@ impl TieredCache {
             memory: Mutex::new(MemoryTier::default()),
             budget,
             spill: dir.map(Spill::open),
-            memory_hits: AtomicU64::new(0),
-            spill_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
-            stage_hits: AtomicU64::new(0),
-            stage_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            evicted_entries: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
         }
     }
 
@@ -318,19 +274,19 @@ impl TieredCache {
     }
 
     /// Looks up the canonical document `doc` under `key` through the
-    /// tiers, counting exactly one of memory-hit / spill-hit / miss (a
-    /// collision counts as a miss).
+    /// tiers, counting exactly one of `cache.memory_hits` /
+    /// `cache.spill_hits` / `cache.misses` (a collision counts as a miss).
     pub fn lookup(&self, key: u64, doc: &str) -> Lookup {
         let found = match self.peek(key, doc) {
             Lookup::Miss => self.load_spill(key, doc),
             resident => resident,
         };
         let counter = match &found {
-            Lookup::Hit(_, HitTier::Memory) => &self.memory_hits,
-            Lookup::Hit(_, HitTier::Spill) => &self.spill_hits,
-            Lookup::Miss | Lookup::Collision => &self.misses,
+            Lookup::Hit(_, HitTier::Memory) => "cache.memory_hits",
+            Lookup::Hit(_, HitTier::Spill) => "cache.spill_hits",
+            Lookup::Miss | Lookup::Collision => "cache.misses",
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        parchmint_obs::count(counter, 1);
         found
     }
 
@@ -373,7 +329,6 @@ impl TieredCache {
     }
 
     fn collision(&self) -> Lookup {
-        self.collisions.fetch_add(1, Ordering::Relaxed);
         parchmint_obs::count("cache.collisions", 1);
         Lookup::Collision
     }
@@ -472,30 +427,10 @@ impl TieredCache {
         };
         let (entries, bytes) = memory.evict_to(budget);
         if entries > 0 {
-            self.evicted_entries.fetch_add(entries, Ordering::Relaxed);
-            self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
             parchmint_obs::count("cache.evicted.entries", entries);
             parchmint_obs::count("cache.evicted.bytes", bytes);
         }
         parchmint_obs::observe("cache.bytes", memory.bytes);
-    }
-
-    /// Counts a stage-layer hit (replayed) or miss (executed).
-    pub fn count_stage(&self, hit: bool) {
-        let counter = if hit {
-            &self.stage_hits
-        } else {
-            &self.stage_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request parking behind an identical in-flight
-    /// execution. Counted when the waiter parks — before the leader
-    /// finishes — so a concurrent duplicate pair is observable mid-flight.
-    pub fn count_coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-        parchmint_obs::count("cache.coalesced", 1);
     }
 
     /// Number of designs resident in the memory tier.
@@ -519,48 +454,12 @@ impl TieredCache {
         let memory = self.memory.lock().expect("cache lock");
         memory.recency.values().copied().collect()
     }
-
-    /// A snapshot of every counter.
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            memory_hits: self.memory_hits.load(Ordering::Relaxed),
-            spill_hits: self.spill_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-            stage_hits: self.stage_hits.load(Ordering::Relaxed),
-            stage_misses: self.stage_misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            evicted_entries: self.evicted_entries.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
-            spill_corrupt: self.spill.as_ref().map_or(0, Spill::corrupt_loads),
-        }
-    }
-
-    /// The cache section of the daemon's `stats` response.
-    pub fn stats_json(&self) -> Value {
-        let counters = self.counters();
-        json!({
-            "entries": self.len(),
-            "bytes": self.bytes(),
-            "budget_bytes": self.budget,
-            "spill_dir": self.spill_dir().map(|dir| dir.display().to_string()),
-            "memory_hits": counters.memory_hits,
-            "spill_hits": counters.spill_hits,
-            "misses": counters.misses,
-            "collisions": counters.collisions,
-            "stage_hits": counters.stage_hits,
-            "stage_misses": counters.stage_misses,
-            "coalesced": counters.coalesced,
-            "evicted_entries": counters.evicted_entries,
-            "evicted_bytes": counters.evicted_bytes,
-            "spill_corrupt": counters.spill_corrupt,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counting;
     use parchmint::Device;
     use parchmint_harness::CellStatus;
 
@@ -594,16 +493,17 @@ mod tests {
     #[test]
     fn lookup_counts_hits_and_misses() {
         let cache = TieredCache::new();
-        assert!(matches!(cache.lookup(7, &doc("a")), Lookup::Miss));
-        cache.insert(7, entry("a"));
-        let Lookup::Hit(_, tier) = cache.lookup(7, &doc("a")) else {
-            panic!("resident");
-        };
-        assert_eq!(tier, HitTier::Memory);
-        let counters = cache.counters();
-        assert_eq!(counters.memory_hits, 1);
-        assert_eq!(counters.misses, 1);
-        assert_eq!(counters.spill_hits, 0);
+        counting(|count| {
+            assert!(matches!(cache.lookup(7, &doc("a")), Lookup::Miss));
+            cache.insert(7, entry("a"));
+            let Lookup::Hit(_, tier) = cache.lookup(7, &doc("a")) else {
+                panic!("resident");
+            };
+            assert_eq!(tier, HitTier::Memory);
+            assert_eq!(count("cache.memory_hits"), 1);
+            assert_eq!(count("cache.misses"), 1);
+            assert_eq!(count("cache.spill_hits"), 0);
+        });
         assert_eq!(cache.len(), 1);
         assert!(cache.bytes() > 0);
     }
@@ -620,11 +520,12 @@ mod tests {
     #[test]
     fn peek_is_uncounted() {
         let cache = TieredCache::new();
-        assert!(!is_hit(cache.peek(5, &doc("a"))));
-        cache.insert(5, entry("a"));
-        assert!(is_hit(cache.peek(5, &doc("a"))));
-        let counters = cache.counters();
-        assert_eq!((counters.memory_hits, counters.misses), (0, 0));
+        counting(|count| {
+            assert!(!is_hit(cache.peek(5, &doc("a"))));
+            cache.insert(5, entry("a"));
+            assert!(is_hit(cache.peek(5, &doc("a"))));
+            assert_eq!((count("cache.memory_hits"), count("cache.misses")), (0, 0));
+        });
     }
 
     #[test]
@@ -645,33 +546,36 @@ mod tests {
         // Budget fits roughly two bare entries.
         let budget = entry("a").total_cost() * 2 + 32;
         let cache = TieredCache::with_limits(Some(budget), None::<PathBuf>);
-        cache.insert(1, entry("a"));
-        cache.insert(2, entry("b"));
-        assert_eq!(cache.lru_keys(), vec![1, 2]);
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(is_hit(cache.lookup(1, &doc("a"))));
-        cache.insert(3, entry("c"));
-        assert_eq!(cache.len(), 2);
-        assert!(!is_hit(cache.peek(2, &doc("b"))), "LRU entry evicted");
-        assert!(is_hit(cache.peek(1, &doc("a"))));
-        assert!(is_hit(cache.peek(3, &doc("c"))));
-        assert!(cache.bytes() <= budget);
-        let counters = cache.counters();
-        assert_eq!(counters.evicted_entries, 1);
-        assert!(counters.evicted_bytes > 0);
+        counting(|count| {
+            cache.insert(1, entry("a"));
+            cache.insert(2, entry("b"));
+            assert_eq!(cache.lru_keys(), vec![1, 2]);
+            // Touch 1 so 2 becomes the LRU victim.
+            assert!(is_hit(cache.lookup(1, &doc("a"))));
+            cache.insert(3, entry("c"));
+            assert_eq!(cache.len(), 2);
+            assert!(!is_hit(cache.peek(2, &doc("b"))), "LRU entry evicted");
+            assert!(is_hit(cache.peek(1, &doc("a"))));
+            assert!(is_hit(cache.peek(3, &doc("c"))));
+            assert!(cache.bytes() <= budget);
+            assert_eq!(count("cache.evicted.entries"), 1);
+            assert!(count("cache.evicted.bytes") > 0);
+        });
     }
 
     #[test]
     fn an_oversized_sole_entry_is_kept() {
         let cache = TieredCache::with_limits(Some(1), None::<PathBuf>);
-        cache.insert(1, entry("oversized"));
-        assert_eq!(cache.len(), 1, "never evict down to empty");
-        assert_eq!(cache.counters().evicted_entries, 0);
-        // A second insert evicts the older one but keeps the newest.
-        cache.insert(2, entry("also-oversized"));
-        assert_eq!(cache.len(), 1);
-        assert!(is_hit(cache.peek(2, &doc("also-oversized"))));
-        assert_eq!(cache.counters().evicted_entries, 1);
+        counting(|count| {
+            cache.insert(1, entry("oversized"));
+            assert_eq!(cache.len(), 1, "never evict down to empty");
+            assert_eq!(count("cache.evicted.entries"), 0);
+            // A second insert evicts the older one but keeps the newest.
+            cache.insert(2, entry("also-oversized"));
+            assert_eq!(cache.len(), 1);
+            assert!(is_hit(cache.peek(2, &doc("also-oversized"))));
+            assert_eq!(count("cache.evicted.entries"), 1);
+        });
     }
 
     #[test]
@@ -685,36 +589,41 @@ mod tests {
             cache.store_stage(77, &entry, "validate", &exec(CellStatus::Ok));
         }
         let cache = TieredCache::with_limits(None, Some(&dir));
-        let Lookup::Hit(entry, tier) = cache.lookup(77, &doc("persisted")) else {
-            panic!("rehydrated");
-        };
-        assert_eq!(tier, HitTier::Spill);
-        assert!(entry.compiled().is_none(), "compile re-materializes lazily");
-        assert_eq!(entry.stage("validate").unwrap().status, CellStatus::Ok);
-        assert_eq!(entry.doc(), doc("persisted"));
-        assert_eq!(entry.design(), "persisted");
-        // Now resident: the next lookup is a memory hit.
-        let Lookup::Hit(_, tier) = cache.lookup(77, &doc("persisted")) else {
-            panic!("resident");
-        };
-        assert_eq!(tier, HitTier::Memory);
-        let counters = cache.counters();
-        assert_eq!((counters.spill_hits, counters.memory_hits), (1, 1));
+        counting(|count| {
+            let Lookup::Hit(entry, tier) = cache.lookup(77, &doc("persisted")) else {
+                panic!("rehydrated");
+            };
+            assert_eq!(tier, HitTier::Spill);
+            assert!(entry.compiled().is_none(), "compile re-materializes lazily");
+            assert_eq!(entry.stage("validate").unwrap().status, CellStatus::Ok);
+            assert_eq!(entry.doc(), doc("persisted"));
+            assert_eq!(entry.design(), "persisted");
+            // Now resident: the next lookup is a memory hit.
+            let Lookup::Hit(_, tier) = cache.lookup(77, &doc("persisted")) else {
+                panic!("resident");
+            };
+            assert_eq!(tier, HitTier::Memory);
+            assert_eq!(
+                (count("cache.spill_hits"), count("cache.memory_hits")),
+                (1, 1)
+            );
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn another_documents_entry_is_a_counted_collision() {
         let cache = TieredCache::new();
-        cache.insert(9, entry("a"));
-        assert!(matches!(cache.lookup(9, &doc("b")), Lookup::Collision));
-        assert!(matches!(cache.peek(9, &doc("b")), Lookup::Collision));
-        // The resident entry keeps its key; a colliding insert is not stored.
-        let other = entry("b");
-        assert!(Arc::ptr_eq(&cache.insert(9, Arc::clone(&other)), &other));
-        assert!(is_hit(cache.lookup(9, &doc("a"))));
-        let counters = cache.counters();
-        assert_eq!((counters.collisions, counters.misses), (2, 1));
-        assert_eq!(counters.memory_hits, 1);
+        counting(|count| {
+            cache.insert(9, entry("a"));
+            assert!(matches!(cache.lookup(9, &doc("b")), Lookup::Collision));
+            assert!(matches!(cache.peek(9, &doc("b")), Lookup::Collision));
+            // The resident entry keeps its key; a colliding insert is not stored.
+            let other = entry("b");
+            assert!(Arc::ptr_eq(&cache.insert(9, Arc::clone(&other)), &other));
+            assert!(is_hit(cache.lookup(9, &doc("a"))));
+            assert_eq!((count("cache.collisions"), count("cache.misses")), (2, 1));
+            assert_eq!(count("cache.memory_hits"), 1);
+        });
     }
 }

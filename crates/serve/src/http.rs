@@ -42,7 +42,6 @@
 use crate::net::{self, BodyError, LineReader, Poll};
 use crate::protocol::{self, ErrorKind, Parsed, Request, SubmitBody, WireError, PROTO};
 use crate::server::{Server, Sink};
-use parchmint_obs::Recorder;
 use serde_json::{Map, Value};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -517,8 +516,8 @@ fn handle_connection(server: &Arc<Server>, stream: TcpStream) {
 /// The HTTP accept loop: one handler thread per connection, until the
 /// server begins shutdown (the transport owner unblocks the accept with
 /// a self-connection, exactly like the line-protocol TCP loop). Each
-/// handler installs the service's collector so its `serve.net.*`
-/// counters aggregate into `stats`.
+/// handler records into the service's aggregate, so its `serve.net.*`
+/// counts land in `stats`.
 pub(crate) fn run_http(server: &Arc<Server>, listener: TcpListener) {
     for stream in listener.incoming() {
         if server.is_shutting_down() {
@@ -529,8 +528,9 @@ pub(crate) fn run_http(server: &Arc<Server>, listener: TcpListener) {
         };
         let server = Arc::clone(server);
         std::thread::spawn(move || {
-            let recorder: Arc<dyn Recorder> = server.service().collector();
-            parchmint_obs::with_recorder(recorder, || handle_connection(&server, stream));
+            server
+                .service()
+                .recorded(|| handle_connection(&server, stream));
         });
     }
 }

@@ -64,7 +64,7 @@ pub mod server;
 pub mod service;
 pub mod spill;
 
-pub use cache::{CacheCounters, CacheEntry, HitTier, Lookup, TieredCache};
+pub use cache::{CacheEntry, HitTier, Lookup, TieredCache};
 pub use chaos::{ChaosCounters, ChaosPlan, ChaosProxy, Direction, FaultKind, CHAOS_SCHEMA};
 pub use client::{
     submit_suite, Backoff, Client, ClientConfig, ClientError, Submission, SuiteSubmission,
@@ -80,3 +80,15 @@ pub use queue::{Bounded, PushError};
 pub use server::{run, serve, serve_tcp, LineOutcome, Server, SharedWriter};
 pub use service::{ServeConfig, ServeConfigBuilder, Service, DEFAULT_QUEUE_CAPACITY};
 pub use spill::{engine_fingerprint, Spill, SpillEntry, SPILL_SCHEMA};
+
+/// Runs `body` with a fresh collector installed; through its argument
+/// `body` reads how much a name has counted so far (0 if nothing).
+#[cfg(test)]
+fn counting(body: impl FnOnce(&dyn Fn(&str) -> u64)) {
+    let collector = std::sync::Arc::new(parchmint_obs::Collector::new());
+    let count = |name: &str| {
+        let counters = collector.summary().counters;
+        counters.get(name).copied().unwrap_or(0)
+    };
+    parchmint_obs::with_recorder(collector.clone(), || body(&count));
+}

@@ -5,11 +5,14 @@
 //! [`protocol`] and hands each submission to `Server::admit`, which pushes a job onto the
 //! bounded admission queue. A job carries its event sink: the submitting
 //! line connection's shared writer, or the channel an HTTP handler is
-//! waiting on. Worker threads — each with the service's collector
-//! installed as its observability recorder — pop jobs, run
-//! [`Service::process_submit`], and send every event to the job's sink.
-//! Control ops (`ping`, `stats`, `shutdown`) are answered inline by the
-//! line reader.
+//! waiting on. Worker threads pop jobs, run [`Service::process_submit`],
+//! and send every event to the job's sink. Control ops (`ping`,
+//! `stats`, `shutdown`) are answered inline by the line reader.
+//!
+//! Every count lands in the service's one aggregate whatever thread
+//! makes it: `process_submit`, `Server::handle_line`, `Server::admit`
+//! and the respawn guard each install it for their own extent, and
+//! connection threads install it for their lifetime.
 //!
 //! Backpressure is the queue itself: when it is full, admission fails
 //! *immediately* with a `busy` error rather than buffering without
@@ -37,8 +40,7 @@
 use crate::net::{self, LineReader, Poll};
 use crate::protocol::{self, ErrorKind, Request, SubmitRequest, WireError};
 use crate::queue::{Bounded, PushError};
-use crate::service::{ServeConfig, Service};
-use parchmint_obs::Recorder;
+use crate::service::{InFlight, ServeConfig, Service};
 use serde_json::{json, Value};
 use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, TcpStream};
@@ -84,19 +86,6 @@ struct Job {
     tracker: Option<Arc<AtomicUsize>>,
 }
 
-/// Decrements a connection's in-flight count when the job ends — in a
-/// `Drop` so a panicking worker cannot leak the count and turn a live
-/// connection into an unevictable one.
-struct InFlightGuard(Option<Arc<AtomicUsize>>);
-
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        if let Some(tracker) = &self.0 {
-            tracker.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
-
 /// What the reader loop should do after a handled line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineOutcome {
@@ -139,16 +128,13 @@ fn spawn_worker(server: &Arc<Server>, index: usize) -> JoinHandle<()> {
                 index,
                 armed: true,
             };
-            let recorder: Arc<dyn Recorder> = server.service.collector();
-            parchmint_obs::with_recorder(recorder, || loop {
-                let Some(job) = server.queue.pop() else {
-                    break;
-                };
-                let _in_flight = InFlightGuard(job.tracker.clone());
+            while let Some(job) = server.queue.pop() {
+                // A leaked count would make a live connection unevictable.
+                let _in_flight = job.tracker.as_deref().map(InFlight);
                 server
                     .service
                     .process_submit(&job.request, &mut |event| job.sink.send(event));
-            });
+            }
             guard.armed = false;
         })
         .expect("spawn worker")
@@ -157,7 +143,7 @@ fn spawn_worker(server: &Arc<Server>, index: usize) -> JoinHandle<()> {
 /// Worker supervision: if the thread unwinds while the guard is armed,
 /// the panic is counted and a replacement worker is spawned. The job
 /// that killed the worker was already popped, so a poisoned job cannot
-/// respawn-loop; its in-flight count is released by [`InFlightGuard`].
+/// respawn-loop; its in-flight counts are released by [`InFlight`].
 struct RespawnGuard {
     server: Arc<Server>,
     index: usize,
@@ -169,7 +155,9 @@ impl Drop for RespawnGuard {
         if !self.armed || !std::thread::panicking() {
             return;
         }
-        self.server.service.count_worker_respawn();
+        self.server
+            .service
+            .recorded(|| parchmint_obs::count("serve.workers.respawned", 1));
         let handle = spawn_worker(&self.server, self.index);
         self.server
             .respawned
@@ -192,17 +180,15 @@ impl Server {
         }
     }
 
-    /// Spawns the worker pool. Each worker installs the service's
-    /// collector as its thread recorder, so stage-level observability
-    /// from every request aggregates into the daemon's `stats`; each
-    /// is supervised, so a panicked worker is counted and replaced.
+    /// Spawns the worker pool. Each worker is supervised, so a panicked
+    /// worker is counted and replaced.
     pub fn start_workers(self: &Arc<Server>) -> Vec<JoinHandle<()>> {
         let count = self.service.config().effective_workers();
         (0..count).map(|index| spawn_worker(self, index)).collect()
     }
 
     /// The service this server fronts (the HTTP transport reads its
-    /// config and collector).
+    /// config and records into its aggregate).
     pub(crate) fn service(&self) -> &Service {
         &self.service
     }
@@ -219,14 +205,13 @@ impl Server {
         self.queue.close();
     }
 
-    /// The full `stats` snapshot: service counters plus this server's
-    /// queue and worker facts.
+    /// The full `stats` snapshot: the service's plus this server's
+    /// queue and pool size.
     pub fn stats_json(&self) -> Value {
         let mut stats = self.service.stats_json();
         let facts = json!({
             "queue": { "capacity": self.queue.capacity(), "depth": self.queue.depth() },
             "workers": self.service.config().effective_workers(),
-            "workers_respawned": self.service.worker_respawns(),
         });
         if let (Some(object), Value::Object(facts)) = (stats.as_object_mut(), facts) {
             object.extend(facts);
@@ -244,27 +229,31 @@ impl Server {
         out: &SharedWriter,
         tracker: Option<&Arc<AtomicUsize>>,
     ) -> LineOutcome {
-        let request = match protocol::parse_request(line) {
-            Ok(request) => request,
-            Err((id, error)) => {
-                parchmint_obs::count("serve.net.bad_requests", 1);
-                write_event(out, &protocol::error_event(&id, &error));
-                return LineOutcome::Continue;
+        self.service.recorded(|| {
+            let request = match protocol::parse_request(line) {
+                Ok(request) => request,
+                Err((id, error)) => {
+                    parchmint_obs::count("serve.net.bad_requests", 1);
+                    write_event(out, &protocol::error_event(&id, &error));
+                    return LineOutcome::Continue;
+                }
+            };
+            match request {
+                Request::Ping { id } => write_event(out, &protocol::pong_event(&id)),
+                Request::Stats { id } => {
+                    write_event(out, &protocol::stats_event(&id, self.stats_json()));
+                }
+                Request::Shutdown { id } => {
+                    write_event(out, &protocol::shutting_down_event(&id));
+                    self.begin_shutdown();
+                    return LineOutcome::Shutdown;
+                }
+                Request::Submit(request) => {
+                    self.admit(request, Sink::Line(Arc::clone(out)), tracker);
+                }
             }
-        };
-        match request {
-            Request::Ping { id } => write_event(out, &protocol::pong_event(&id)),
-            Request::Stats { id } => {
-                write_event(out, &protocol::stats_event(&id, self.stats_json()));
-            }
-            Request::Shutdown { id } => {
-                write_event(out, &protocol::shutting_down_event(&id));
-                self.begin_shutdown();
-                return LineOutcome::Shutdown;
-            }
-            Request::Submit(request) => self.admit(request, Sink::Line(Arc::clone(out)), tracker),
-        }
-        LineOutcome::Continue
+            LineOutcome::Continue
+        })
     }
 
     /// Admission control, the one entry for every submission: queue the
@@ -278,36 +267,39 @@ impl Server {
         sink: Sink,
         tracker: Option<&Arc<AtomicUsize>>,
     ) {
-        let draining = WireError::new(ErrorKind::ShuttingDown, "daemon is draining");
-        if self.is_shutting_down() {
-            sink.send(protocol::error_event(&request.id, &draining));
-            return;
-        }
-        if let Some(tracker) = tracker {
-            tracker.fetch_add(1, Ordering::AcqRel);
-        }
-        let job = Job {
-            request,
-            sink,
-            tracker: tracker.map(Arc::clone),
-        };
-        let (job, refusal) = match self.queue.try_push(job) {
-            Ok(()) => return,
-            Err((job, PushError::Full)) => {
-                self.service.count_rejected();
-                parchmint_obs::count("serve.net.shed", 1);
-                let busy = WireError::new(
-                    ErrorKind::Busy,
-                    format!("admission queue full (capacity {})", self.queue.capacity()),
-                )
-                .with_retry_after_ms(self.queue.retry_after_hint_ms());
-                (job, busy)
+        self.service.recorded(|| {
+            let draining = WireError::new(ErrorKind::ShuttingDown, "daemon is draining");
+            if self.is_shutting_down() {
+                sink.send(protocol::error_event(&request.id, &draining));
+                return;
             }
-            Err((job, PushError::Closed)) => (job, draining),
-        };
-        drop(InFlightGuard(job.tracker));
-        job.sink
-            .send(protocol::error_event(&job.request.id, &refusal));
+            if let Some(tracker) = tracker {
+                tracker.fetch_add(1, Ordering::AcqRel);
+            }
+            let job = Job {
+                request,
+                sink,
+                tracker: tracker.map(Arc::clone),
+            };
+            let (job, refusal) = match self.queue.try_push(job) {
+                Ok(()) => return,
+                Err((job, PushError::Full)) => {
+                    // The one count of a busy refusal; `stats` reports
+                    // it as `requests.rejected` too.
+                    parchmint_obs::count("serve.net.shed", 1);
+                    let busy = WireError::new(
+                        ErrorKind::Busy,
+                        format!("admission queue full (capacity {})", self.queue.capacity()),
+                    )
+                    .with_retry_after_ms(self.queue.retry_after_hint_ms());
+                    (job, busy)
+                }
+                Err((job, PushError::Closed)) => (job, draining),
+            };
+            drop(job.tracker.as_deref().map(InFlight));
+            job.sink
+                .send(protocol::error_event(&job.request.id, &refusal));
+        });
     }
 }
 
@@ -455,10 +447,10 @@ fn tcp_loop(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> {
         };
         let server = Arc::clone(server);
         std::thread::spawn(move || {
-            // The connection thread gets the collector too, so the
-            // serve.net.* counters it emits aggregate into stats.
-            let recorder: Arc<dyn Recorder> = server.service.collector();
-            parchmint_obs::with_recorder(recorder, || line_connection(&server, stream, local));
+            // The serve.net.* counts a connection makes land in stats.
+            server
+                .service
+                .recorded(|| line_connection(&server, stream, local));
         });
     }
     Ok(())
@@ -629,8 +621,25 @@ mod tests {
             Value::from(125u64),
             "a full queue hints the deterministic ceiling"
         );
+        let stats = server.stats_json();
+        assert_eq!(stats["requests"]["rejected"], Value::from(1u64));
+        assert_eq!(stats["counters"]["serve.net.shed"], Value::from(1u64));
+    }
+
+    #[test]
+    fn counts_land_on_a_thread_without_a_recorder() {
+        // The stdio loop installs no recorder: handle_line must record
+        // into the service's aggregate by itself.
+        let server = Arc::new(Server::new(Arc::new(Service::new(ServeConfig::default()))));
+        let (out, buffer) = capture();
+        assert!(!parchmint_obs::enabled());
+        server.handle_line("{not json", &out, None);
         assert_eq!(
-            server.stats_json()["requests"]["rejected"],
+            lines(&buffer)[0]["error"]["kind"],
+            Value::from("bad_request")
+        );
+        assert_eq!(
+            server.stats_json()["counters"]["serve.net.bad_requests"],
             Value::from(1u64)
         );
     }
@@ -673,7 +682,7 @@ mod tests {
             None,
         );
         let deadline = Instant::now() + Duration::from_secs(30);
-        while server.service.worker_respawns() == 0 {
+        while server.stats_json()["workers_respawned"] == 0 {
             assert!(Instant::now() < deadline, "worker was never respawned");
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -698,6 +707,16 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(20));
         }
+
+        // Once the pool is idle nothing is in flight, the job that
+        // killed its worker included.
+        while server.stats_json()["requests"]["in_flight"] != 0 {
+            assert!(Instant::now() < deadline, "an in-flight slot leaked");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let requests = &server.stats_json()["requests"];
+        assert_eq!(requests["submitted"], Value::from(2u64));
+        assert_eq!(requests["completed"], Value::from(1u64));
         server.begin_shutdown();
     }
 }

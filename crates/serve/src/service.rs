@@ -25,6 +25,10 @@
 //!    published result; an abandoned flight (panicked leader) wakes the
 //!    waiters to retry, one of which promotes itself to leader.
 //!
+//! Every count the daemon reports — requests, cache tiers, stages, wire
+//! events — is an obs count recorded into one store, the service's
+//! aggregate collector; `stats` reads them all from one summary of it.
+//!
 //! Caching rule: a submission is *cacheable* only when it runs
 //! unconditioned — no deadline, no fuel, no armed fault plan. Bounded
 //! or fault-injected runs execute fresh every time and their results
@@ -41,12 +45,12 @@ use crate::protocol::{
 };
 use parchmint::{CompiledDevice, Device};
 use parchmint_harness::{engine, stage_matches, standard_stages, ExecPolicy, Stage, StageExec};
-use parchmint_obs::Collector;
+use parchmint_obs::{Collector, Event, EventKind, Recorder};
 use parchmint_resilience::FaultPlan;
 use serde_json::{json, Map, Value};
 use std::borrow::Cow;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -353,23 +357,44 @@ enum CompileOutcome {
     Panicked(String, String),
 }
 
+/// The daemon's one store of counts: a collector that keeps no sample
+/// series. A sample series is one run's curve (an annealing schedule, a
+/// solver's residuals), which `stats` never reports, so the aggregate
+/// grows with metric names, not with requests.
+struct Aggregate(Collector);
+
+impl Recorder for Aggregate {
+    fn record(&self, event: Event) {
+        if !matches!(event.kind, EventKind::Sample(_)) {
+            self.0.record(event);
+        }
+    }
+}
+
+/// Releases one in-flight count — the service's, or a connection's —
+/// when a submission ends, in a `Drop` so that a panic taking the
+/// worker down cannot leak it.
+pub(crate) struct InFlight<'a>(pub(crate) &'a AtomicUsize);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// The shared service state: stage matrix, tiered cache, single-flight
-/// tables, collector, and request counters. Transports
-/// ([`crate::server`], [`crate::http`]) own sockets and threads; the
-/// service owns semantics.
+/// tables, the aggregate every count lands in, and the in-flight gauges.
+/// Transports ([`crate::server`], [`crate::http`]) own sockets and
+/// threads; the service owns semantics.
 pub struct Service {
     stages: Vec<Stage>,
     config: ServeConfig,
     cache: TieredCache,
     compile_flights: SingleFlight<u64>,
     stage_flights: SingleFlight<(u64, String)>,
-    collector: Arc<Collector>,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    in_flight: AtomicU64,
-    peak_in_flight: AtomicU64,
-    worker_respawns: AtomicU64,
+    aggregate: Arc<Aggregate>,
+    in_flight: AtomicUsize,
+    peak_in_flight: AtomicUsize,
 }
 
 impl Service {
@@ -388,13 +413,9 @@ impl Service {
             cache,
             compile_flights: SingleFlight::new(),
             stage_flights: SingleFlight::new(),
-            collector: Arc::new(Collector::new()),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            peak_in_flight: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
+            aggregate: Arc::new(Aggregate(Collector::new())),
+            in_flight: AtomicUsize::new(0),
+            peak_in_flight: AtomicUsize::new(0),
         }
     }
 
@@ -408,24 +429,12 @@ impl Service {
         &self.cache
     }
 
-    /// The collector workers install while processing jobs.
-    pub fn collector(&self) -> Arc<Collector> {
-        Arc::clone(&self.collector)
-    }
-
-    /// Counts a submission refused at admission (queue full/closed).
-    pub fn count_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a panicked worker thread replaced by its supervisor.
-    pub fn count_worker_respawn(&self) {
-        self.worker_respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Worker threads respawned after a panic since startup.
-    pub fn worker_respawns(&self) -> u64 {
-        self.worker_respawns.load(Ordering::Relaxed)
+    /// Runs `f` with the daemon's aggregate installed as this thread's
+    /// obs recorder, so every count `f` makes lands in `stats`, on
+    /// whichever thread it runs.
+    pub(crate) fn recorded<T>(&self, f: impl FnOnce() -> T) -> T {
+        let aggregate: Arc<dyn Recorder> = self.aggregate.clone();
+        parchmint_obs::with_recorder(aggregate, f)
     }
 
     /// Resolves a design source to the canonical document its cache key
@@ -502,14 +511,17 @@ impl Service {
     /// final `done` (or a single `error`) through `emit`.
     ///
     /// This is the daemon's entire request path; transports only parse
-    /// lines and queue jobs.
+    /// lines and queue jobs. Everything it counts lands in the daemon's
+    /// aggregate, whoever calls it.
     pub fn process_submit(&self, request: &SubmitRequest, emit: &mut dyn FnMut(Value)) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let in_flight = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_in_flight.fetch_max(in_flight, Ordering::Relaxed);
-        self.run_submission(request, emit);
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.recorded(|| {
+            parchmint_obs::count("serve.requests.submitted", 1);
+            let in_flight = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+            self.peak_in_flight.fetch_max(in_flight, Ordering::Relaxed);
+            let _slot = InFlight(&self.in_flight);
+            self.run_submission(request, emit);
+            parchmint_obs::count("serve.requests.completed", 1);
+        });
     }
 
     fn run_submission(&self, request: &SubmitRequest, emit: &mut dyn FnMut(Value)) {
@@ -595,9 +607,6 @@ impl Service {
             let started = Instant::now();
             let (exec, cached) =
                 self.obtain_stage(key, &entry, stage, &policy, faults.as_ref(), cacheable);
-            if cacheable {
-                self.cache.count_stage(cached);
-            }
             parchmint_obs::count(
                 if cached {
                     "serve.stage.replayed"
@@ -606,6 +615,9 @@ impl Service {
                 },
                 1,
             );
+            if cacheable && !cached {
+                parchmint_obs::count("cache.stage_misses", 1);
+            }
             cells += 1;
             emit(cell_event(
                 &request.id,
@@ -683,7 +695,9 @@ impl Service {
                     };
                 }
                 Flight::Waiter(wait) => {
-                    self.cache.count_coalesced();
+                    // Counted as the waiter parks, before the leader
+                    // finishes, so a duplicate pair is visible mid-flight.
+                    parchmint_obs::count("cache.coalesced", 1);
                     // True → the leader published; retry the lookup.
                     // False → the leader abandoned; retry the join and
                     // possibly lead ourselves.
@@ -769,7 +783,7 @@ impl Service {
                     return (exec, false);
                 }
                 Flight::Waiter(wait) => {
-                    self.cache.count_coalesced();
+                    parchmint_obs::count("cache.coalesced", 1);
                     let _ = wait.wait();
                 }
             }
@@ -789,29 +803,51 @@ impl Service {
         compile.compiled.map(|compiled| entry.materialize(compiled))
     }
 
-    /// The daemon's counter snapshot: protocol version, request
-    /// counters, cache tiers, and the aggregated observability counters
-    /// workers recorded.
+    /// The daemon's snapshot: protocol version, request, cache and
+    /// worker counts read from one summary of the aggregate, the gauges
+    /// read from state, and every obs counter under `counters`.
     pub fn stats_json(&self) -> Value {
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        let counters: Map = (self.collector.summary().counters.iter())
+        // Read before the summary: a submission counts `completed` before
+        // it releases its slot, so a snapshot with nothing in flight has
+        // counted every submission that ended.
+        let in_flight = self.in_flight.load(Ordering::Acquire);
+        let summary = self.aggregate.0.summary();
+        let count = |name: &str| summary.counters.get(name).copied().unwrap_or(0);
+        let counters: Map = (summary.counters.iter())
             .map(|(name, total)| (name.to_string(), Value::from(*total)))
             .collect();
+        let cache = &self.cache;
         json!({
             "schema": "parchmint-serve-stats/v2",
             "proto": { "negotiated": PROTO, "supported_majors": [PROTO_MAJOR] },
             "requests": {
-                "submitted": load(&self.submitted),
-                "completed": load(&self.completed),
-                "rejected": load(&self.rejected),
-                "in_flight": load(&self.in_flight),
-                "peak_in_flight": load(&self.peak_in_flight),
+                "submitted": count("serve.requests.submitted"),
+                "completed": count("serve.requests.completed"),
+                "rejected": count("serve.net.shed"),
+                "in_flight": in_flight,
+                "peak_in_flight": self.peak_in_flight.load(Ordering::Relaxed),
             },
-            "cache": self.cache.stats_json(),
+            "cache": {
+                "entries": cache.len(),
+                "bytes": cache.bytes(),
+                "budget_bytes": cache.budget(),
+                "spill_dir": cache.spill_dir().map(|dir| dir.display().to_string()),
+                "memory_hits": count("cache.memory_hits"),
+                "spill_hits": count("cache.spill_hits"),
+                "misses": count("cache.misses"),
+                "collisions": count("cache.collisions"),
+                "stage_hits": count("serve.stage.replayed"),
+                "stage_misses": count("cache.stage_misses"),
+                "coalesced": count("cache.coalesced"),
+                "evicted_entries": count("cache.evicted.entries"),
+                "evicted_bytes": count("cache.evicted.bytes"),
+                "spill_corrupt": count("cache.spill_corrupt"),
+            },
             "flights": {
                 "compiles": self.compile_flights.in_flight(),
                 "stages": self.stage_flights.in_flight(),
             },
+            "workers_respawned": count("serve.workers.respawned"),
             "counters": counters,
         })
     }
@@ -982,9 +1018,12 @@ mod tests {
             first[0]["cell"], second[0]["cell"],
             "replayed cell is identical"
         );
-        let counters = service.cache().counters();
-        assert_eq!((counters.memory_hits, counters.stage_hits), (1, 1));
-        assert_eq!(counters.misses, 1);
+        let cache = &service.stats_json()["cache"];
+        assert_eq!(
+            (&cache["memory_hits"], &cache["stage_hits"]),
+            (&1.into(), &1.into())
+        );
+        assert_eq!(cache["misses"], Value::from(1u64));
     }
 
     #[test]
@@ -997,10 +1036,10 @@ mod tests {
         assert_eq!(first[0]["cached"], Value::from(false));
         assert_eq!(second[0]["cached"], Value::from(false));
         assert_eq!(service.cache().len(), 0);
-        let counters = service.cache().counters();
+        let cache = &service.stats_json()["cache"];
         assert_eq!(
-            (counters.memory_hits, counters.misses),
-            (0, 0),
+            (&cache["memory_hits"], &cache["misses"]),
+            (&0.into(), &0.into()),
             "bounded runs never touch the cache"
         );
     }
@@ -1069,5 +1108,22 @@ mod tests {
         assert_eq!(stats["cache"]["memory_hits"], Value::from(1u64));
         assert_eq!(stats["cache"]["stage_hits"], Value::from(1u64));
         assert_eq!(stats["flights"]["compiles"], Value::from(0));
+    }
+
+    #[test]
+    fn the_aggregate_keeps_no_sample_series() {
+        // A cold full-matrix run anneals a placement and solves a flow
+        // network, both of which emit sample series while a recorder is
+        // installed; the daemon's aggregate keeps none of them.
+        let service = Service::new(ServeConfig::default());
+        let mut full = submit("logic_gate_or");
+        full.stages = None;
+        let events = events_of(&service, &full);
+        assert_eq!(events.last().unwrap()["event"], Value::from("done"));
+        let summary = service.aggregate.0.summary();
+        assert!(summary.counters["pnr.place.sweeps"] > 0, "annealing ran");
+        assert!(summary.counters["sim.linear.iterations"] > 0, "flow ran");
+        assert!(summary.samples.is_empty(), "{:?}", summary.samples.keys());
+        assert_eq!(summary.counters["serve.requests.completed"], 1);
     }
 }

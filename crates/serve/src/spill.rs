@@ -20,8 +20,9 @@
 //! - **Loads are corruption-tolerant.** A spill file that is missing,
 //!   unreadable, unparseable, schema-mismatched, keyed wrong, or written
 //!   by another engine (see [`engine_fingerprint`]) is a cache *miss*
-//!   (counted under `spill_corrupt`), never an error — the design simply
-//!   recompiles and the bad file is overwritten by the next store.
+//!   (counted under the `cache.spill_corrupt` obs count), never an
+//!   error — the design simply recompiles and the bad file is
+//!   overwritten by the next store.
 
 use crate::hash;
 use parchmint_harness::{standard_stages, CellStatus, StageExec};
@@ -64,8 +65,8 @@ pub struct SpillEntry {
 /// The disk tier: a directory of content-hash-named entry files.
 pub struct Spill {
     dir: PathBuf,
+    /// Makes each store's temp-file name unique.
     seq: AtomicU64,
-    corrupt: AtomicU64,
 }
 
 impl Spill {
@@ -80,7 +81,6 @@ impl Spill {
         Spill {
             dir,
             seq: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
         }
     }
 
@@ -89,35 +89,23 @@ impl Spill {
         &self.dir
     }
 
-    /// How many loads found a file that could not be trusted.
-    pub fn corrupt_loads(&self) -> u64 {
-        self.corrupt.load(Ordering::Relaxed)
-    }
-
     fn entry_path(&self, key_hex: &str) -> PathBuf {
         self.dir.join(format!("{key_hex}.json"))
     }
 
     /// Loads the entry spilled under `key_hex`, tolerating every form
     /// of corruption as a miss. A missing file is a plain miss; a
-    /// present-but-bad file additionally counts under `corrupt_loads`.
+    /// present-but-bad file additionally counts `cache.spill_corrupt`.
     pub fn load(&self, key_hex: &str) -> Option<SpillEntry> {
-        let path = self.entry_path(key_hex);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let entry = match fs::read_to_string(self.entry_path(key_hex)) {
+            Ok(text) => decode_entry(&text, key_hex),
             Err(error) if error.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(_) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+            Err(_) => None,
         };
-        match decode_entry(&text, key_hex) {
-            Some(entry) => Some(entry),
-            None => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        if entry.is_none() {
+            parchmint_obs::count("cache.spill_corrupt", 1);
         }
+        entry
     }
 
     /// Spills an entry for a parsed document: its canonical text, its
@@ -275,6 +263,7 @@ fn decode_entry(text: &str, key_hex: &str) -> Option<SpillEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counting;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -322,17 +311,19 @@ mod tests {
             Duration::from_millis(5),
             &sample_stages(),
         );
-        let loaded = spill.load("00000000deadbeef").expect("stored entry loads");
-        assert_eq!(loaded.doc, r#"{"name":"roundtrip"}"#);
-        assert_eq!(loaded.design, "roundtrip");
-        assert_eq!(loaded.stages.len(), 2);
-        assert_eq!(loaded.stages["validate"].status, CellStatus::Ok);
-        assert_eq!(loaded.stages["validate"].metrics["rules"], Value::from(12));
-        let degraded = &loaded.stages["route:astar"];
-        assert_eq!(degraded.status, CellStatus::Degraded);
-        assert_eq!(degraded.detail.as_deref(), Some("fell back"));
-        assert_eq!(degraded.attempts, 2);
-        assert_eq!(spill.corrupt_loads(), 0);
+        counting(|count| {
+            let loaded = spill.load("00000000deadbeef").expect("stored entry loads");
+            assert_eq!(loaded.doc, r#"{"name":"roundtrip"}"#);
+            assert_eq!(loaded.design, "roundtrip");
+            assert_eq!(loaded.stages.len(), 2);
+            assert_eq!(loaded.stages["validate"].status, CellStatus::Ok);
+            assert_eq!(loaded.stages["validate"].metrics["rules"], Value::from(12));
+            let degraded = &loaded.stages["route:astar"];
+            assert_eq!(degraded.status, CellStatus::Degraded);
+            assert_eq!(degraded.detail.as_deref(), Some("fell back"));
+            assert_eq!(degraded.attempts, 2);
+            assert_eq!(count("cache.spill_corrupt"), 0);
+        });
         // No temp droppings survive a store.
         let leftovers: Vec<_> = fs::read_dir(&dir)
             .unwrap()
@@ -347,41 +338,47 @@ mod tests {
     fn corruption_is_a_miss_not_an_error() {
         let dir = temp_dir("corrupt");
         let spill = Spill::open(&dir);
-        assert!(spill.load("0000000000000001").is_none());
-        assert_eq!(spill.corrupt_loads(), 0, "absent files are plain misses");
+        counting(|count| {
+            assert!(spill.load("0000000000000001").is_none());
+            assert_eq!(
+                count("cache.spill_corrupt"),
+                0,
+                "absent files are plain misses"
+            );
 
-        fs::write(dir.join("0000000000000002.json"), "{truncated").unwrap();
-        assert!(spill.load("0000000000000002").is_none());
+            fs::write(dir.join("0000000000000002.json"), "{truncated").unwrap();
+            assert!(spill.load("0000000000000002").is_none());
 
-        fs::write(
-            dir.join("0000000000000003.json"),
-            r#"{"schema":"other/v9","key":"0000000000000003","design":{},"compile_ms":1,"stages":{}}"#,
-        )
-        .unwrap();
-        assert!(spill.load("0000000000000003").is_none());
+            fs::write(
+                dir.join("0000000000000003.json"),
+                r#"{"schema":"other/v9","key":"0000000000000003","design":{},"compile_ms":1,"stages":{}}"#,
+            )
+            .unwrap();
+            assert!(spill.load("0000000000000003").is_none());
 
-        // A file renamed under the wrong hash must not poison that key.
-        let doc = Value::Object(Map::new());
-        spill.store("000000000000000a", &doc, Duration::ZERO, &BTreeMap::new());
-        fs::rename(
-            dir.join("000000000000000a.json"),
-            dir.join("000000000000000b.json"),
-        )
-        .unwrap();
-        assert!(spill.load("000000000000000b").is_none());
-        assert_eq!(spill.corrupt_loads(), 3);
+            // A file renamed under the wrong hash must not poison that key.
+            let doc = Value::Object(Map::new());
+            spill.store("000000000000000a", &doc, Duration::ZERO, &BTreeMap::new());
+            fs::rename(
+                dir.join("000000000000000a.json"),
+                dir.join("000000000000000b.json"),
+            )
+            .unwrap();
+            assert!(spill.load("000000000000000b").is_none());
+            assert_eq!(count("cache.spill_corrupt"), 3);
 
-        // Another engine's results are stale, however well-formed.
-        let text = fs::read_to_string(dir.join("000000000000000b.json")).unwrap();
-        let stale = text
-            .replace("000000000000000a", "000000000000000c")
-            .replace(engine_fingerprint(), "0.0.0 validate");
-        fs::write(dir.join("000000000000000c.json"), &stale).unwrap();
-        assert!(spill.load("000000000000000c").is_none());
-        assert_eq!(spill.corrupt_loads(), 4);
-        let current = stale.replace("0.0.0 validate", engine_fingerprint());
-        fs::write(dir.join("000000000000000c.json"), current).unwrap();
-        assert!(spill.load("000000000000000c").is_some());
+            // Another engine's results are stale, however well-formed.
+            let text = fs::read_to_string(dir.join("000000000000000b.json")).unwrap();
+            let stale = text
+                .replace("000000000000000a", "000000000000000c")
+                .replace(engine_fingerprint(), "0.0.0 validate");
+            fs::write(dir.join("000000000000000c.json"), &stale).unwrap();
+            assert!(spill.load("000000000000000c").is_none());
+            assert_eq!(count("cache.spill_corrupt"), 4);
+            let current = stale.replace("0.0.0 validate", engine_fingerprint());
+            fs::write(dir.join("000000000000000c.json"), current).unwrap();
+            assert!(spill.load("000000000000000c").is_some());
+        });
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -401,8 +398,10 @@ mod tests {
         let path = dir.join(format!("{key}.json"));
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(spill.load(key).is_none(), "half a file is not an entry");
-        assert_eq!(spill.corrupt_loads(), 1);
+        counting(|count| {
+            assert!(spill.load(key).is_none(), "half a file is not an entry");
+            assert_eq!(count("cache.spill_corrupt"), 1);
+        });
         spill.store(key, &doc, Duration::from_millis(3), &sample_stages());
         assert!(spill.load(key).is_some(), "a fresh store heals the key");
         let _ = fs::remove_dir_all(&dir);

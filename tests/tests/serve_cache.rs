@@ -67,9 +67,15 @@ fn resubmitting_the_same_design_replays_every_stage_from_cache() {
         "replayed results must be byte-identical"
     );
 
-    let counters = service.cache().counters();
-    assert_eq!((counters.memory_hits, counters.misses), (1, 1));
-    assert_eq!((counters.stage_hits, counters.stage_misses), (10, 10));
+    let cache = &service.stats_json()["cache"];
+    assert_eq!(
+        (&cache["memory_hits"], &cache["misses"]),
+        (&1.into(), &1.into())
+    );
+    assert_eq!(
+        (&cache["stage_hits"], &cache["stage_misses"]),
+        (&10.into(), &10.into())
+    );
     assert_eq!(service.cache().len(), 1);
 }
 

@@ -7,6 +7,7 @@
 //! of one entry all reach its spill file.
 
 use parchmint_harness::{CellStatus, Stage, StageExec, StageOutcome};
+use parchmint_obs::Collector;
 use parchmint_serve::hash::{canonical_hash, canonical_text, content_hash, hex};
 use parchmint_serve::protocol::{DesignSource, SubmitRequest};
 use parchmint_serve::{
@@ -107,7 +108,7 @@ fn concurrent_duplicate_submissions_coalesce_onto_one_execution() {
     let second = spawn(&service);
     // …and until the duplicate has parked behind it (coalesced is
     // counted at park time, so this is deterministic, not a sleep).
-    while service.cache().counters().coalesced == 0 {
+    while service.stats_json()["cache"]["coalesced"] == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }
     {
@@ -123,9 +124,9 @@ fn concurrent_duplicate_submissions_coalesce_onto_one_execution() {
         1,
         "the parked duplicate must not re-execute the stage"
     );
-    let counters = service.cache().counters();
-    assert!(counters.coalesced >= 1, "{counters:?}");
-    assert_eq!(counters.misses, 1, "exactly one compile: {counters:?}");
+    let cache = &service.stats_json()["cache"];
+    assert!(cache["coalesced"].as_u64() >= Some(1), "{cache}");
+    assert_eq!(cache["misses"], 1, "exactly one compile: {cache}");
     assert_eq!(
         strip(&first),
         strip(&second),
@@ -156,20 +157,24 @@ fn memory_tier_evicts_least_recently_used_under_its_byte_budget() {
     // Budget sized for two entries: inserting the third must evict one.
     let two_entries = 2 * (128 + 3 * doc("a").len() as u64);
     let cache = TieredCache::with_limits(Some(two_entries), None::<&str>);
-    cache.insert(keys[0], entry("a"));
-    cache.insert(keys[1], entry("b"));
-    assert!(cache.bytes() <= two_entries);
+    // The cache counts into whatever recorder the thread has installed.
+    let collector = Arc::new(Collector::new());
+    parchmint_obs::with_recorder(collector.clone(), || {
+        cache.insert(keys[0], entry("a"));
+        cache.insert(keys[1], entry("b"));
+        assert!(cache.bytes() <= two_entries);
 
-    // Touch "a" so "b" is the least recently used…
-    assert!(matches!(cache.lookup(keys[0], &doc("a")), Lookup::Hit(..)));
-    cache.insert(keys[2], entry("c"));
+        // Touch "a" so "b" is the least recently used…
+        assert!(matches!(cache.lookup(keys[0], &doc("a")), Lookup::Hit(..)));
+        cache.insert(keys[2], entry("c"));
+    });
 
     // …and exactly "b" went.
     assert_eq!(cache.lru_keys(), vec![keys[0], keys[2]]);
     assert!(cache.bytes() <= two_entries, "budget holds after eviction");
-    let counters = cache.counters();
-    assert_eq!(counters.evicted_entries, 1);
-    assert!(counters.evicted_bytes > 0);
+    let counters = collector.summary().counters;
+    assert_eq!(counters["cache.evicted.entries"], 1);
+    assert!(counters["cache.evicted.bytes"] > 0);
     assert!(
         matches!(cache.lookup(keys[1], &doc("b")), Lookup::Miss),
         "evicted entry is a miss"
@@ -216,9 +221,9 @@ fn spill_tier_survives_service_restarts_and_tolerates_corruption() {
         strip(&replayed),
         "spill-served replay is byte-identical to the cold run"
     );
-    let counters = service.cache().counters();
-    assert_eq!(counters.spill_hits, 1, "{counters:?}");
-    assert_eq!(counters.stage_hits, 1, "{counters:?}");
+    let cache = &service.stats_json()["cache"];
+    assert_eq!(cache["spill_hits"], 1, "{cache}");
+    assert_eq!(cache["stage_hits"], 1, "{cache}");
 
     // The corrupted design is a plain miss — recomputed, not an error.
     let recomputed = submit(&service, &or_gate);
@@ -227,9 +232,9 @@ fn spill_tier_survives_service_restarts_and_tolerates_corruption() {
         Some(Value::from("done"))
     );
     assert_eq!(recomputed[0]["cached"], Value::from(false));
-    let counters = service.cache().counters();
-    assert_eq!(counters.misses, 1, "{counters:?}");
-    assert!(counters.spill_corrupt >= 1, "{counters:?}");
+    let cache = &service.stats_json()["cache"];
+    assert_eq!(cache["misses"], 1, "{cache}");
+    assert!(cache["spill_corrupt"].as_u64() >= Some(1), "{cache}");
 }
 
 /// A registry design's canonical document and cache key.
@@ -269,8 +274,6 @@ fn assert_or_gate_runs_uncached(service: &Service) {
     for event in &events {
         assert_eq!(event["cached"], Value::from(false), "{event}");
     }
-    let counters = service.cache().counters();
-    assert_eq!(counters.collisions, 1, "{counters:?}");
     assert_eq!(
         service.stats_json()["cache"]["collisions"],
         Value::from(1u64)
@@ -324,8 +327,11 @@ fn a_colliding_spill_file_is_never_replayed() {
 
     let service = Service::new(ServeConfig::builder().cache_dir(dir.0.clone()).build());
     assert_or_gate_runs_uncached(&service);
-    let counters = service.cache().counters();
-    assert_eq!((counters.spill_hits, counters.spill_corrupt), (0, 0));
+    let cache = &service.stats_json()["cache"];
+    assert_eq!(
+        (&cache["spill_hits"], &cache["spill_corrupt"]),
+        (&0.into(), &0.into())
+    );
     assert_eq!(service.cache().len(), 0, "nothing inserted");
     assert_eq!(std::fs::read(&path).unwrap(), planted, "nothing spilled");
 }
@@ -370,8 +376,11 @@ fn a_spill_entry_from_another_engine_recompiles() {
     let recompiled = submit(&service, &request);
     assert_eq!(recompiled[0]["cached"], Value::from(false));
     assert_eq!(recompiled[0]["cell"]["status"], Value::from("ok"));
-    let counters = service.cache().counters();
-    assert_eq!((counters.spill_hits, counters.spill_corrupt), (0, 1));
+    let cache = &service.stats_json()["cache"];
+    assert_eq!(
+        (&cache["spill_hits"], &cache["spill_corrupt"]),
+        (&0.into(), &1.into())
+    );
     let rewritten: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(rewritten["engine"], Value::from(engine_fingerprint()));
     assert_eq!(rewritten["stages"]["validate"]["status"], Value::from("ok"));
