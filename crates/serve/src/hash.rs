@@ -78,7 +78,9 @@ pub(crate) fn read_members(
     let mut design = None;
     while let Some(Event::Key(key)) = reader.next_event()? {
         if key == "design" {
-            let mut doc = String::new();
+            // The design is most of what is left of the request, and
+            // its canonical text is rarely longer than its source.
+            let mut doc = String::with_capacity(reader.unread_len());
             reader.write_canonical(&mut doc)?;
             design = Some(doc);
         } else {

@@ -94,15 +94,14 @@ fn read_request(
     // Request line: wait across keep-alive idleness, but never let a
     // partial line outlive the read timeout.
     let idle_since = Instant::now();
-    let mut stalled = false;
     let line = loop {
         match reader.poll_line() {
             Ok(Poll::Frame(bytes)) => break bytes,
             Ok(Poll::Pending {
                 frame_age: Some(age),
+                stalled,
             }) => {
-                if !stalled {
-                    stalled = true;
+                if stalled {
                     parchmint_obs::count("serve.net.frames.stalled", 1);
                 }
                 if limits.read_timeout.is_some_and(|timeout| age >= timeout) {
@@ -110,7 +109,9 @@ fn read_request(
                     return Err(HttpFail::new(408, "request line read timed out"));
                 }
             }
-            Ok(Poll::Pending { frame_age: None }) => {
+            Ok(Poll::Pending {
+                frame_age: None, ..
+            }) => {
                 if limits
                     .idle_timeout
                     .is_some_and(|timeout| idle_since.elapsed() >= timeout)

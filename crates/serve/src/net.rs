@@ -9,11 +9,15 @@
 //! [`LineReader`] instead sets a short poll interval as the socket
 //! read timeout and surfaces every tick to the caller as a
 //! [`Poll::Pending`] carrying the **age of the partial frame** — time
-//! since the first byte of the still-incomplete line arrived. The
-//! caller owns policy: a partial frame older than the read timeout is
-//! a slow-drip eviction, an empty buffer past the idle timeout is a
-//! keep-alive eviction, and a connection with requests in flight is
-//! never evicted at all.
+//! since the first byte of the still-incomplete line arrived — and
+//! whether the frame has just *stalled*: a whole tick of waiting on the
+//! socket passed with no new byte. The caller owns policy: a partial
+//! frame older than the read timeout is a slow-drip eviction, an empty
+//! buffer past the idle timeout is a keep-alive eviction, and a
+//! connection with requests in flight is never evicted at all.
+//!
+//! A frame that ends the buffer is handed over whole, so a
+//! multi-megabyte request line is not copied again after it arrives.
 //!
 //! Frames are bounded ([`Poll::Oversized`]) so an attacker cannot buy
 //! unbounded memory with one endless line, and EOF reports whether it
@@ -39,6 +43,14 @@ pub enum Poll {
     Pending {
         /// Age of the incomplete frame, measured from its first byte.
         frame_age: Option<Duration>,
+        /// True on the first tick of each incomplete frame at which a
+        /// whole tick of waiting in `read` passed without a new byte:
+        /// the read timed out, or its bytes came only as the tick ran
+        /// out. The peer paused mid-frame. A read that brings bytes
+        /// sooner is progress, however many reads a long line takes,
+        /// and time the caller spends on the previous frame is not
+        /// waiting.
+        stalled: bool,
     },
     /// The current frame exceeded the configured byte limit without a
     /// terminator. The connection should be refused and closed.
@@ -61,6 +73,14 @@ pub struct LineReader {
     scanned: usize,
     max_frame: usize,
     frame_started: Option<Instant>,
+    /// The poll tick (`None`: reads block).
+    tick: Option<Duration>,
+    /// Since when the reader has waited for bytes: the last read that
+    /// brought some, or the first read after a frame or body was taken
+    /// (`None` until then).
+    waiting_since: Option<Instant>,
+    /// Whether the frame being assembled has reported its stall.
+    stall_reported: bool,
 }
 
 /// The poll tick for a connection with the given read/idle timeouts:
@@ -91,6 +111,9 @@ impl LineReader {
             scanned: 0,
             max_frame: max_frame.max(1),
             frame_started: None,
+            tick: poll,
+            waiting_since: None,
+            stall_reported: false,
         })
     }
 
@@ -104,16 +127,31 @@ impl LineReader {
             self.scanned = self.buf.len();
             return None;
         };
-        let mut line: Vec<u8> = self.buf.drain(..=newline).collect();
+        let mut line = self.take_front(newline + 1);
         line.pop(); // the \n
         if line.last() == Some(&b'\r') {
             line.pop();
         }
-        self.scanned = 0;
-        // Whatever remains arrived in the same packet; its assembly
-        // clock starts now.
-        self.frame_started = (!self.buf.is_empty()).then(Instant::now);
         Some(line)
+    }
+
+    /// Takes the first `len` buffered bytes. When they are the whole
+    /// buffer it is handed over as is; otherwise only the bytes after
+    /// them are copied out. Whatever remains arrived in the same read,
+    /// so its assembly clock starts now; the wait clock restarts at the
+    /// next read, after the caller is done with what it took.
+    fn take_front(&mut self, len: usize) -> Vec<u8> {
+        let front = if len == self.buf.len() {
+            std::mem::take(&mut self.buf)
+        } else {
+            let rest = self.buf.split_off(len);
+            std::mem::replace(&mut self.buf, rest)
+        };
+        self.scanned = 0;
+        self.frame_started = (!self.buf.is_empty()).then(Instant::now);
+        self.waiting_since = None;
+        self.stall_reported = false;
+        front
     }
 
     fn frame_age(&self) -> Option<Duration> {
@@ -144,12 +182,21 @@ impl LineReader {
                 limit: self.max_frame,
             });
         }
+        let waiting_since = *self.waiting_since.get_or_insert_with(Instant::now);
         let mut chunk = [0u8; 8 << 10];
-        match self.stream.read(&mut chunk) {
+        let read = self.stream.read(&mut chunk);
+        let stalled = !self.buf.is_empty()
+            && !self.stall_reported
+            && self
+                .tick
+                .is_some_and(|tick| waiting_since.elapsed() >= tick);
+        self.stall_reported |= stalled;
+        match read {
             Ok(0) => Ok(Poll::Eof {
                 torn: !self.buf.is_empty(),
             }),
             Ok(n) => {
+                self.waiting_since = Some(Instant::now());
                 if self.buf.is_empty() {
                     self.frame_started = Some(Instant::now());
                 }
@@ -164,6 +211,7 @@ impl LineReader {
                 }
                 Ok(Poll::Pending {
                     frame_age: self.frame_age(),
+                    stalled,
                 })
             }
             Err(error)
@@ -176,6 +224,7 @@ impl LineReader {
             {
                 Ok(Poll::Pending {
                     frame_age: self.frame_age(),
+                    stalled,
                 })
             }
             Err(error) => Err(error),
@@ -190,11 +239,10 @@ impl LineReader {
         len: usize,
         deadline: Option<Instant>,
     ) -> Result<Vec<u8>, BodyError> {
-        let mut body = Vec::with_capacity(len.min(1 << 20));
-        let take = len.min(self.buf.len());
-        body.extend(self.buf.drain(..take));
-        self.scanned = 0;
-        self.frame_started = (!self.buf.is_empty()).then(Instant::now);
+        let mut body = self.take_front(len.min(self.buf.len()));
+        // A declared length is only a claim: reserve at most 1 MiB of it
+        // before the bytes arrive.
+        body.reserve(len.min(1 << 20).saturating_sub(body.len()));
         let mut chunk = [0u8; 8 << 10];
         while body.len() < len {
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -294,6 +342,7 @@ mod tests {
         match reader.poll_line().unwrap() {
             Poll::Pending {
                 frame_age: Some(age),
+                ..
             } => {
                 assert!(age >= Duration::from_millis(20), "{age:?}")
             }
@@ -312,12 +361,118 @@ mod tests {
         }
     }
 
+    /// Polls `n` times without a frame arriving; how many ticks were
+    /// reported as stalls.
+    fn stalls_in(reader: &mut LineReader, n: usize) -> usize {
+        (0..n)
+            .filter(|_| match reader.poll_line().unwrap() {
+                Poll::Pending { stalled, .. } => stalled,
+                other => panic!("expected pending, got {other:?}"),
+            })
+            .count()
+    }
+
+    /// Polls until a frame arrives, asserting no tick on the way stalls.
+    fn next_frame(reader: &mut LineReader) -> Vec<u8> {
+        loop {
+            match reader.poll_line().unwrap() {
+                Poll::Frame(f) => return f,
+                Poll::Pending { stalled, .. } => assert!(!stalled, "no tick here is a stall"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_stall_is_reported_once_per_frame() {
+        let (mut client, server) = pair();
+        let mut reader = reader(server, 1 << 20);
+        client.write_all(b"gam").unwrap();
+        // The read that brings the first bytes is not a stall; the ticks
+        // that time out after it are, and the frame reports one.
+        assert_eq!(stalls_in(&mut reader, 4), 1);
+        client.write_all(b"ma\n").unwrap();
+        assert_eq!(next_frame(&mut reader), b"gamma");
+        client.write_all(b"de").unwrap();
+        assert_eq!(
+            stalls_in(&mut reader, 4),
+            1,
+            "the next frame reports its own"
+        );
+    }
+
+    #[test]
+    fn time_spent_on_a_taken_frame_is_not_a_stall() {
+        let (mut client, server) = pair();
+        let mut reader = reader(server, 1 << 20);
+        client.write_all(b"a\nbb").unwrap();
+        assert_eq!(next_frame(&mut reader), b"a");
+        // The caller works on `a` for longer than a tick while the start
+        // of the next frame sits in the buffer; more of it is already
+        // sent when the reader is polled again.
+        std::thread::sleep(Duration::from_millis(50));
+        client.write_all(b"b").unwrap();
+        assert_eq!(stalls_in(&mut reader, 1), 0);
+        client.write_all(b"\n").unwrap();
+        assert_eq!(next_frame(&mut reader), b"bbb");
+    }
+
+    #[test]
+    fn a_multi_megabyte_frame_and_the_next_arrive_intact_in_one_write() {
+        let (mut client, server) = pair();
+        // A poll tick far longer than loopback needs to deliver the line:
+        // no tick should pass without a byte, so none is a stall.
+        let mut reader = LineReader::new(server, Some(Duration::from_secs(2)), 16 << 20).unwrap();
+        let big: Vec<u8> = (0..3u32 << 20).map(|i| b'a' + (i % 26) as u8).collect();
+        let mut bytes = big.clone();
+        bytes.extend_from_slice(b"\nsecond\n");
+        let writer = std::thread::spawn(move || {
+            client.write_all(&bytes).unwrap();
+            client
+        });
+        assert!(
+            next_frame(&mut reader) == big,
+            "the big frame arrives intact"
+        );
+        assert_eq!(next_frame(&mut reader), b"second");
+        drop(writer.join().unwrap());
+    }
+
+    #[test]
+    fn a_body_larger_than_one_read_arrives_intact() {
+        let (mut client, server) = pair();
+        let mut reader = reader(server, 64);
+        let body: Vec<u8> = (0..300_123).map(|i| (i % 251) as u8).collect();
+        let mut bytes = b"HEAD\n".to_vec();
+        bytes.extend_from_slice(&body);
+        let writer = std::thread::spawn(move || {
+            client.write_all(&bytes).unwrap();
+            client
+        });
+        loop {
+            match reader.poll_line().unwrap() {
+                Poll::Frame(f) => {
+                    assert_eq!(f, b"HEAD");
+                    break;
+                }
+                Poll::Pending { .. } => continue,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let got = reader.read_exact_timed(body.len(), None).unwrap();
+        assert!(got == body, "the body arrives intact");
+        drop(writer.join().unwrap());
+    }
+
     #[test]
     fn idle_pending_reports_no_frame_age() {
         let (_client, server) = pair();
         let mut reader = reader(server, 1 << 20);
         match reader.poll_line().unwrap() {
-            Poll::Pending { frame_age: None } => {}
+            Poll::Pending {
+                frame_age: None,
+                stalled: false,
+            } => {}
             other => panic!("expected idle pending, got {other:?}"),
         }
     }

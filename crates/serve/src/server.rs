@@ -347,13 +347,11 @@ fn line_connection(server: &Arc<Server>, stream: TcpStream, local: std::net::Soc
         Err(_) => return,
     };
     let mut idle_since = Instant::now();
-    let mut frame_stalled = false;
     let mut refused = false;
     loop {
         match reader.poll_line() {
             Ok(Poll::Frame(bytes)) => {
                 idle_since = Instant::now();
-                frame_stalled = false;
                 let Ok(line) = String::from_utf8(bytes) else {
                     parchmint_obs::count("serve.net.frames.bad", 1);
                     let error = WireError::new(ErrorKind::BadRequest, "request line is not UTF-8");
@@ -373,11 +371,11 @@ fn line_connection(server: &Arc<Server>, stream: TcpStream, local: std::net::Soc
             }
             Ok(Poll::Pending {
                 frame_age: Some(age),
+                stalled,
             }) => {
-                if !frame_stalled {
-                    // First tick with an incomplete frame on the floor:
-                    // the peer paused mid-frame (or is dripping).
-                    frame_stalled = true;
+                if stalled {
+                    // The peer paused mid-frame (or drips slower than the
+                    // poll tick); the reader reports it once per frame.
                     parchmint_obs::count("serve.net.frames.stalled", 1);
                 }
                 if read_timeout.is_some_and(|timeout| age >= timeout) {
@@ -394,7 +392,9 @@ fn line_connection(server: &Arc<Server>, stream: TcpStream, local: std::net::Soc
                     break;
                 }
             }
-            Ok(Poll::Pending { frame_age: None }) => {
+            Ok(Poll::Pending {
+                frame_age: None, ..
+            }) => {
                 if tracker.load(Ordering::Acquire) > 0 {
                     // Quiet but waiting on responses — never evicted.
                     idle_since = Instant::now();

@@ -6,6 +6,7 @@
 use parchmint_serve::hash::{canonical_string, canonical_text, content_hash, hash_json_str, hex};
 use parchmint_serve::protocol::{DesignSource, SubmitRequest};
 use parchmint_serve::{ServeConfig, Service};
+use parchmint_suite::FpvaConfig;
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use serde_json::Value;
@@ -108,6 +109,92 @@ fn pretty_and_compact_serializations_hash_identically() {
         hash_json_str(&compact).unwrap(),
         hash_json_str(&pretty).unwrap()
     );
+}
+
+/// `value` as compact JSON with every object's members in descending
+/// key order, the reverse of the order the canonical form sorts them to.
+fn render_reversed(value: &Value, out: &mut String) {
+    match value {
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render_reversed(item, out);
+            }
+            out.push(']');
+        }
+        Value::Object(map) => {
+            out.push('{');
+            let members: Vec<_> = map.iter().collect();
+            for (i, (key, item)) in members.into_iter().rev().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&serde_json::to_string(key).expect("keys serialize"));
+                out.push(':');
+                render_reversed(item, out);
+            }
+            out.push('}');
+        }
+        scalar => out.push_str(&serde_json::to_string(scalar).expect("scalars serialize")),
+    }
+}
+
+/// The proptest below only generates small documents. These are the
+/// sizes the daemon is sent: `fpva_1k`, and a 58×58 array (9,978
+/// components, 3.4 MB compact), each compact in declaration order,
+/// pretty, and with every object's members reversed.
+#[test]
+fn the_writer_matches_the_tree_on_fpva_documents() {
+    let grid = FpvaConfig {
+        rows: 58,
+        cols: 58,
+        seed: 58,
+    };
+    let devices = [
+        parchmint_suite::by_name("fpva_1k")
+            .expect("fpva_1k")
+            .device(),
+        parchmint_suite::generate_fpva("fpva_58x58", &grid),
+    ];
+    for device in devices {
+        let compact = device.to_json().expect("serializes");
+        let tree: Value = serde_json::from_str(&compact).expect("parses");
+        let expected = canonical_string(&tree);
+        let mut reversed = String::new();
+        render_reversed(&tree, &mut reversed);
+        let pretty = device.to_json_pretty().expect("serializes");
+        for (layout, text) in [
+            ("compact", compact),
+            ("pretty", pretty),
+            ("reversed", reversed),
+        ] {
+            let streamed = canonical_text(&text).expect("canonicalizes");
+            assert!(streamed == expected, "{} {layout}: differs", device.name);
+        }
+    }
+}
+
+/// The writer keeps its own stack instead of recursing, so the nesting
+/// limit is pinned: 128 nested arrays or objects canonicalize like the
+/// tree, and 129 fail with the tree parser's error.
+#[test]
+fn nesting_at_the_readers_limit_matches_the_tree() {
+    for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+        let nested = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+        let deepest = nested(128);
+        let tree: Value = serde_json::from_str(&deepest).expect("128 levels parse");
+        assert_eq!(canonical_text(&deepest).unwrap(), canonical_string(&tree));
+        let too_deep = nested(129);
+        let tree_error = serde_json::from_str::<Value>(&too_deep).unwrap_err();
+        let writer_error = canonical_text(&too_deep).unwrap_err();
+        assert_eq!(writer_error, tree_error, "{open}");
+        assert!(writer_error
+            .to_string()
+            .contains("recursion limit exceeded"));
+    }
 }
 
 /// Renders `pairs` as a JSON object, optionally reversed and with

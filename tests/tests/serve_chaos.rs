@@ -183,6 +183,47 @@ fn a_slowloris_dripper_is_evicted_while_real_work_completes() {
 }
 
 #[test]
+fn a_multi_megabyte_line_sent_in_one_write_is_not_a_stall() {
+    // A generous read timeout, so the poll tick is its 100 ms ceiling:
+    // far longer than loopback takes between two reads of one line.
+    let (addr, handle) = start_daemon(
+        ServeConfig::builder()
+            .workers(1)
+            .read_timeout_ms(60_000)
+            .build(),
+    );
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let line = format!(
+        "{{\"op\":\"ping\",\"id\":1,\"pad\":\"{}\"}}\n",
+        "x".repeat(4 << 20)
+    );
+    stream.write_all(line.as_bytes()).expect("one write");
+    let mut pong = String::new();
+    BufReader::new(&mut stream)
+        .read_line(&mut pong)
+        .expect("read pong");
+    assert!(pong.contains("pong"), "{pong}");
+
+    let mut client = Client::connect(&addr).expect("connect client");
+    let stats = client.stats().expect("stats");
+    let counters = &stats["counters"];
+    assert!(
+        counters["serve.net.frames"].as_u64().unwrap_or(0) >= 1,
+        "{counters}"
+    );
+    assert_eq!(
+        counters["serve.net.frames.stalled"].as_u64().unwrap_or(0),
+        0,
+        "a line that keeps arriving is not a stall: {counters}"
+    );
+    client.shutdown().expect("shutdown ack");
+    handle.join().expect("daemon exits");
+}
+
+#[test]
 fn oversized_frames_and_idle_connections_are_refused_politely() {
     let (addr, handle) = start_daemon(
         ServeConfig::builder()
