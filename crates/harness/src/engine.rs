@@ -26,7 +26,6 @@ use parchmint_obs::{Collector, Recorder, TraceSummary};
 use parchmint_resilience::{Budget, FaultPlan, Severity};
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -154,17 +153,6 @@ pub(crate) fn with_faults<T>(plan: Option<&Arc<FaultPlan>>, body: impl FnOnce() 
     }
 }
 
-/// Renders a caught panic payload as a message string.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Generates + compiles a device into its shared view under panic
 /// isolation, the caller's fault plan, and (when `tracing`) a private
 /// event collector.
@@ -180,13 +168,11 @@ pub fn compile_device(
     let started = Instant::now();
     let (outcome, trace) = collect(tracing, || {
         with_faults(faults, || {
-            catch_unwind(AssertUnwindSafe(|| {
-                CompiledDevice::compile(generate()).into_shared()
-            }))
+            parchmint_resilience::attempt(|| CompiledDevice::compile(generate()).into_shared())
         })
     });
     CompileExec {
-        compiled: outcome.map_err(|payload| panic_message(payload.as_ref())),
+        compiled: outcome,
         wall: started.elapsed(),
         trace,
     }
@@ -219,7 +205,7 @@ pub fn execute_stage(
         let budget = policy.attempt_budget(faults.is_some());
         let (outcome, trace) = collect(tracing, || {
             with_faults(faults, || {
-                let body = || catch_unwind(AssertUnwindSafe(|| (stage.run)(compiled, &ctx)));
+                let body = || parchmint_resilience::attempt(|| (stage.run)(compiled, &ctx));
                 match &budget {
                     Some(budget) => budget.enter(body),
                     None => body(),
@@ -268,11 +254,7 @@ pub fn execute_stage(
                     ),
                 }
             }
-            Err(payload) => (
-                CellStatus::Failed,
-                Some(panic_message(payload.as_ref())),
-                Default::default(),
-            ),
+            Err(panic) => (CellStatus::Failed, Some(panic), Default::default()),
         };
         return StageExec {
             status,

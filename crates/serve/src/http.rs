@@ -39,14 +39,12 @@
 //!   for FPVA-scale documents) and read under a fresh read-timeout
 //!   deadline — a truncated body is a 400, a stalled one a 408.
 
-use crate::net::{self, BodyError, LineReader, Poll};
+use crate::net::{self, Ending, LineReader, NoFrame, Transport};
 use crate::protocol::{self, ErrorKind, Parsed, Request, SubmitBody, WireError, PROTO};
-use crate::server::{Server, Sink};
+use crate::server::{Server, SharedWriter, Sink};
 use serde_json::{Map, Value};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
+use std::time::Instant;
 
 /// Longest accepted request line or single header line, in bytes.
 const MAX_HEAD_LINE: usize = 8 << 10;
@@ -75,72 +73,32 @@ impl HttpFail {
             message: message.into(),
         }
     }
-}
 
-/// Read/idle limits a connection enforces while assembling requests.
-struct HttpLimits {
-    read_timeout: Option<Duration>,
-    idle_timeout: Option<Duration>,
-    max_body: usize,
+    /// Words the refusal for a `line` of the head that did not come;
+    /// `part` names what timed out.
+    fn missing(reason: NoFrame, line: &str, part: &str) -> HttpFail {
+        match reason {
+            NoFrame::Closed => HttpFail::new(400, "connection closed mid-headers"),
+            NoFrame::TimedOut(_) => HttpFail::new(408, format!("{part} read timed out")),
+            NoFrame::Oversized(limit) => {
+                HttpFail::new(400, format!("{line} exceeds {limit} bytes"))
+            }
+            NoFrame::NotUtf8 => HttpFail::new(400, format!("{line} is not UTF-8")),
+        }
+    }
 }
 
 /// Reads one request from `reader`; `Ok(None)` is a clean end of the
-/// connection (EOF between requests, or keep-alive idle eviction),
-/// `Err` is a framing problem answered with its status and a close.
-fn read_request(
-    reader: &mut LineReader,
-    limits: &HttpLimits,
-) -> Result<Option<HttpRequest>, HttpFail> {
+/// connection (it closed or failed between requests, or sat idle past
+/// the keep-alive timeout), `Err` is a framing problem answered with
+/// its status and a close.
+fn read_request(reader: &mut LineReader, max_body: usize) -> Result<Option<HttpRequest>, HttpFail> {
     // Request line: wait across keep-alive idleness, but never let a
     // partial line outlive the read timeout.
-    let idle_since = Instant::now();
-    let line = loop {
-        match reader.poll_line() {
-            Ok(Poll::Frame(bytes)) => break bytes,
-            Ok(Poll::Pending {
-                frame_age: Some(age),
-                stalled,
-            }) => {
-                if stalled {
-                    parchmint_obs::count("serve.net.frames.stalled", 1);
-                }
-                if limits.read_timeout.is_some_and(|timeout| age >= timeout) {
-                    parchmint_obs::count("serve.net.read_timeouts", 1);
-                    return Err(HttpFail::new(408, "request line read timed out"));
-                }
-            }
-            Ok(Poll::Pending {
-                frame_age: None, ..
-            }) => {
-                if limits
-                    .idle_timeout
-                    .is_some_and(|timeout| idle_since.elapsed() >= timeout)
-                {
-                    parchmint_obs::count("serve.net.idle_closed", 1);
-                    return Ok(None);
-                }
-            }
-            Ok(Poll::Oversized { limit }) => {
-                parchmint_obs::count("serve.net.frames.oversized", 1);
-                return Err(HttpFail::new(
-                    400,
-                    format!("request line exceeds {limit} bytes"),
-                ));
-            }
-            Ok(Poll::Eof { torn }) => {
-                if torn {
-                    parchmint_obs::count("serve.net.frames.torn", 1);
-                }
-                return Ok(None);
-            }
-            Err(_) => {
-                parchmint_obs::count("serve.net.io_errors", 1);
-                return Ok(None);
-            }
-        }
-    };
-    let Ok(line) = String::from_utf8(line) else {
-        return Err(HttpFail::new(400, "request line is not UTF-8"));
+    let line = match reader.next_frame(None) {
+        Ok(line) => line,
+        Err(NoFrame::Closed) => return Ok(None),
+        Err(reason) => return Err(HttpFail::missing(reason, "request line", "request line")),
     };
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
@@ -153,43 +111,15 @@ fn read_request(
     let mut keep_alive = version != "HTTP/1.0";
     let (method, path) = (method.to_string(), path.to_string());
 
-    // Headers: the whole head shares one deadline from here, so a peer
-    // dripping bytes *across* header lines is still evicted on time.
-    let head_deadline = limits.read_timeout.map(|timeout| Instant::now() + timeout);
+    // Headers: the whole head shares one read timeout from here, so a
+    // peer dripping bytes *across* header lines is still evicted on time.
+    let head_started = Instant::now();
     let mut content_length: Option<usize> = None;
     let mut header_count = 0usize;
     loop {
-        let header = loop {
-            match reader.poll_line() {
-                Ok(Poll::Frame(bytes)) => break bytes,
-                Ok(Poll::Pending { .. }) => {
-                    if head_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                        parchmint_obs::count("serve.net.read_timeouts", 1);
-                        return Err(HttpFail::new(408, "request head read timed out"));
-                    }
-                }
-                Ok(Poll::Oversized { limit }) => {
-                    parchmint_obs::count("serve.net.frames.oversized", 1);
-                    return Err(HttpFail::new(
-                        400,
-                        format!("header line exceeds {limit} bytes"),
-                    ));
-                }
-                Ok(Poll::Eof { torn }) => {
-                    if torn {
-                        parchmint_obs::count("serve.net.frames.torn", 1);
-                    }
-                    return Err(HttpFail::new(400, "connection closed mid-headers"));
-                }
-                Err(_) => {
-                    parchmint_obs::count("serve.net.io_errors", 1);
-                    return Err(HttpFail::new(400, "read failed mid-headers"));
-                }
-            }
-        };
-        let Ok(header) = String::from_utf8(header) else {
-            return Err(HttpFail::new(400, "header line is not UTF-8"));
-        };
+        let header = reader
+            .next_frame(Some(head_started))
+            .map_err(|reason| HttpFail::missing(reason, "header line", "request head"))?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -225,34 +155,23 @@ fn read_request(
         }
     }
     let content_length = content_length.unwrap_or(0);
-    if content_length > limits.max_body {
+    if content_length > max_body {
         return Err(HttpFail::new(
             400,
             format!(
-                "request body too large ({content_length} > {} byte limit; \
-                 raise --http-max-body)",
-                limits.max_body
+                "request body too large ({content_length} > {max_body} byte limit; \
+                 raise --http-max-body)"
             ),
         ));
     }
-    // The body gets a fresh read-timeout deadline of its own.
-    let body_deadline = limits.read_timeout.map(|timeout| Instant::now() + timeout);
-    let body = match reader.read_exact_timed(content_length, body_deadline) {
+    let body = match reader.read_body(content_length) {
         Ok(body) => body,
-        Err(BodyError::Eof) => {
-            parchmint_obs::count("serve.net.frames.torn", 1);
+        Err(NoFrame::TimedOut(_)) => return Err(HttpFail::new(408, "request body read timed out")),
+        Err(_) => {
             return Err(HttpFail::new(
                 400,
                 "connection closed before the declared Content-Length arrived",
-            ));
-        }
-        Err(BodyError::TimedOut) => {
-            parchmint_obs::count("serve.net.read_timeouts", 1);
-            return Err(HttpFail::new(408, "request body read timed out"));
-        }
-        Err(_) => {
-            parchmint_obs::count("serve.net.io_errors", 1);
-            return Err(HttpFail::new(400, "read failed mid-body"));
+            ))
         }
     };
     let Ok(body) = String::from_utf8(body) else {
@@ -305,13 +224,9 @@ fn retry_after_ms_in(body: &Value) -> Option<u64> {
         })
 }
 
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &Value,
-    keep_alive: bool,
-    retry_after_ms: Option<u64>,
-) -> bool {
+/// One whole response: head and body leave in one write, since a second
+/// small write would wait on the client's delayed ACK.
+fn response(status: u16, body: &Value, keep_alive: bool, retry_after_ms: Option<u64>) -> Vec<u8> {
     let body = serde_json::to_string(body).expect("response serializes");
     let connection = if keep_alive { "keep-alive" } else { "close" };
     // Retry-After is whole seconds; round the hint up so a client
@@ -319,14 +234,12 @@ fn write_response(
     let retry_after = retry_after_ms
         .map(|ms| format!("Retry-After: {}\r\n", ms.div_ceil(1000).max(1)))
         .unwrap_or_default();
-    // Head and body leave in one write: a second small write would wait
-    // on the client's delayed ACK.
-    let response = format!(
+    format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry_after}Connection: {connection}\r\n\r\n{body}",
         reason(status),
         body.len(),
-    );
-    stream.write_all(response.as_bytes()).is_ok() && stream.flush().is_ok()
+    )
+    .into_bytes()
 }
 
 fn error_body(kind: ErrorKind, message: &str) -> (u16, Value) {
@@ -461,78 +374,35 @@ fn handle_request(server: &Server, request: &HttpRequest) -> (u16, Value) {
     }
 }
 
-/// One connection: serve requests until close, EOF, idle eviction, or
-/// a framing error (answered with its 4xx, then closed).
-fn handle_connection(server: &Arc<Server>, stream: TcpStream) {
-    parchmint_obs::count("serve.net.http.accepted", 1);
-    let config = server.service().config();
-    let limits = HttpLimits {
-        read_timeout: config.effective_read_timeout(),
-        idle_timeout: config.effective_idle_timeout(),
-        max_body: config.effective_http_max_body(),
-    };
-    if let Some(timeout) = config.effective_write_timeout() {
-        let _ = stream.set_write_timeout(Some(timeout));
-    }
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let poll = net::poll_interval(limits.read_timeout, limits.idle_timeout);
-    let Ok(mut reader) = LineReader::new(stream, poll, MAX_HEAD_LINE) else {
-        return;
-    };
+/// HTTP connections: head lines are capped at [`MAX_HEAD_LINE`].
+pub(crate) const TRANSPORT: Transport = Transport {
+    accepted: "serve.net.http.accepted",
+    closed: "serve.net.http.closed",
+    max_frame: MAX_HEAD_LINE,
+    speak,
+};
+
+/// Serves requests on one connection until it closes, fails, sits idle,
+/// or asks to close, or until a framing error, whose 4xx it returns as
+/// the refusal.
+fn speak(server: &Server, reader: &mut LineReader, out: &SharedWriter) -> Ending {
+    let max_body = server.service().config().effective_http_max_body();
     loop {
-        match read_request(&mut reader, &limits) {
+        match read_request(reader, max_body) {
             Ok(Some(request)) => {
                 let (status, body) = handle_request(server, &request);
                 let retry_after = (status == 503).then(|| retry_after_ms_in(&body)).flatten();
-                if !write_response(&mut writer, status, &body, request.keep_alive, retry_after)
-                    || !request.keep_alive
-                {
-                    break;
+                let reply = response(status, &body, request.keep_alive, retry_after);
+                if !net::send(out, &reply) || !request.keep_alive {
+                    return Ending::Closed;
                 }
             }
-            Ok(None) => break,
+            Ok(None) => return Ending::Closed,
             Err(fail) => {
-                let kind = if fail.status == 503 {
-                    ErrorKind::Busy
-                } else {
-                    ErrorKind::BadRequest
-                };
-                let (_, body) = error_body(kind, &fail.message);
-                let _ = write_response(&mut writer, fail.status, &body, false, None);
-                // The peer may still be mid-send; close without a
-                // drain and the kernel's reset can destroy the 4xx
-                // before it is read.
-                let _ = writer.shutdown(std::net::Shutdown::Write);
-                reader.drain_for(Duration::from_millis(500));
-                break;
+                let (_, body) = error_body(ErrorKind::BadRequest, &fail.message);
+                return Ending::Refused(response(fail.status, &body, false, None));
             }
         }
-    }
-    parchmint_obs::count("serve.net.http.closed", 1);
-}
-
-/// The HTTP accept loop: one handler thread per connection, until the
-/// server begins shutdown (the transport owner unblocks the accept with
-/// a self-connection, exactly like the line-protocol TCP loop). Each
-/// handler records into the service's aggregate, so its `serve.net.*`
-/// counts land in `stats`.
-pub(crate) fn run_http(server: &Arc<Server>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if server.is_shutting_down() {
-            break;
-        }
-        let Ok(stream) = stream else {
-            continue;
-        };
-        let server = Arc::clone(server);
-        std::thread::spawn(move || {
-            server
-                .service()
-                .recorded(|| handle_connection(&server, stream));
-        });
     }
 }
 

@@ -39,10 +39,10 @@
 //!   events (byte-identical, stripped, to a local `suite-run`), with
 //!   connect/read deadlines, seeded decorrelated-jitter backoff, and
 //!   idempotent partial-batch resume across reconnects;
-//! - [`net`] — the poll-based line framer shared by the TCP and HTTP
-//!   transports: bounded frames, stall detection from the *start* of a
-//!   partial frame (so a 1 byte/sec dripper cannot hold a socket), and
-//!   deadline-bounded body reads;
+//! - `net` — the socket core under the TCP and HTTP transports: one
+//!   accept loop and connection setup, and one frame wait that times a
+//!   partial frame from its *start* (so a 1 byte/sec dripper cannot
+//!   hold a socket) and counts every outcome;
 //! - [`chaos`] — deterministic wire-fault injection: a seeded TCP
 //!   proxy ([`chaos::ChaosProxy`]) that delays, throttles, truncates,
 //!   garbles, or severs connections according to a
@@ -57,7 +57,7 @@ pub mod client;
 pub mod flight;
 pub mod hash;
 pub mod http;
-pub mod net;
+pub(crate) mod net;
 pub mod protocol;
 pub mod queue;
 pub mod server;
@@ -71,13 +71,12 @@ pub use client::{
     DEFAULT_WINDOW,
 };
 pub use flight::{Flight, FlightToken, FlightWait, SingleFlight};
-pub use net::{LineReader, Poll};
 pub use protocol::{
     parse_request, parse_submit_body, DesignSource, ErrorKind, Request, SubmitRequest, WireError,
     PROTO, PROTO_MAJOR,
 };
 pub use queue::{Bounded, PushError};
-pub use server::{run, serve, serve_tcp, LineOutcome, Server, SharedWriter};
+pub use server::{run, serve, LineOutcome, Server, SharedWriter};
 pub use service::{ServeConfig, ServeConfigBuilder, Service, DEFAULT_QUEUE_CAPACITY};
 pub use spill::{engine_fingerprint, Spill, SpillEntry, SPILL_SCHEMA};
 

@@ -21,13 +21,11 @@
 //! retries instead of stampeding. This holds for every submission,
 //! each element of an HTTP batch included.
 //!
-//! TCP connections are defended, not trusted: frames are read through
-//! [`crate::net::LineReader`] under the configured read timeout (a
-//! partial frame older than the timeout is a slow-drip peer and is
-//! evicted), idle connections with nothing in flight are closed after
-//! the idle timeout, frames are size-capped, and every wire event —
-//! accepted/closed connections, torn/stalled/oversized/bad frames,
-//! timeouts — lands in a `serve.net.*` counter visible in `stats`.
+//! TCP connections are defended, not trusted: `crate::net` accepts
+//! them, reads their frames under the configured read and idle
+//! timeouts, caps their size, and counts every wire event under
+//! `serve.net.*`; the line transport here only interprets a frame, or
+//! words the `error` event that refuses one.
 //!
 //! Workers are supervised: a panicking worker (a poisoned writer lock,
 //! a bug in a stage) is counted in `stats` as `workers_respawned` and
@@ -37,7 +35,7 @@
 //! every worker; responses for already-admitted work are still
 //! delivered before the daemon exits.
 
-use crate::net::{self, LineReader, Poll};
+use crate::net::{self, Ending, LineReader, NoFrame, Transport};
 use crate::protocol::{self, ErrorKind, Request, SubmitRequest, WireError};
 use crate::queue::{Bounded, PushError};
 use crate::service::{InFlight, ServeConfig, Service};
@@ -47,7 +45,6 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// A line-oriented output shared between the reader (inline control
 /// responses) and the workers (streamed submission events).
@@ -98,11 +95,7 @@ pub enum LineOutcome {
 /// Serializes `event` onto `out` as one line. Write errors are
 /// swallowed: a vanished client must not take a worker down.
 fn write_event(out: &SharedWriter, event: &Value) {
-    let line = protocol::to_line(event);
-    let mut out = out.lock().expect("writer lock");
-    if out.write_all(line.as_bytes()).is_err() || out.flush().is_err() {
-        parchmint_obs::count("serve.net.write_errors", 1);
-    }
+    net::send(out, protocol::to_line(event).as_bytes());
 }
 
 /// The daemon: service semantics plus queue, workers, and shutdown
@@ -187,8 +180,8 @@ impl Server {
         (0..count).map(|index| spawn_worker(self, index)).collect()
     }
 
-    /// The service this server fronts (the HTTP transport reads its
-    /// config and records into its aggregate).
+    /// The service this server fronts (the socket core and the HTTP
+    /// transport read its config and record into its aggregate).
     pub(crate) fn service(&self) -> &Service {
         &self.service
     }
@@ -320,140 +313,33 @@ fn stdio_loop(server: &Arc<Server>) -> io::Result<()> {
     Ok(())
 }
 
-/// One TCP line-protocol connection, driven through the hardened
-/// [`LineReader`]: slow-drip partial frames are evicted at the read
-/// timeout, idle connections (nothing buffered, nothing in flight) at
-/// the idle timeout, oversized and non-UTF-8 frames are refused, and
-/// every outcome is counted under `serve.net.*`.
-fn line_connection(server: &Arc<Server>, stream: TcpStream, local: std::net::SocketAddr) {
-    parchmint_obs::count("serve.net.conn.accepted", 1);
-    let config = server.service.config();
-    let read_timeout = config.effective_read_timeout();
-    let idle_timeout = config.effective_idle_timeout();
-    if let Some(timeout) = config.effective_write_timeout() {
-        let _ = stream.set_write_timeout(Some(timeout));
-    }
-    // Events are written as they finish; none should wait for the
-    // client's delayed ACK of the one before.
-    let _ = stream.set_nodelay(true);
-    let out: SharedWriter = match stream.try_clone() {
-        Ok(write_half) => Arc::new(Mutex::new(Box::new(write_half))),
-        Err(_) => return,
-    };
-    let tracker = Arc::new(AtomicUsize::new(0));
-    let poll = net::poll_interval(read_timeout, idle_timeout);
-    let mut reader = match LineReader::new(stream, poll, config.effective_line_max_bytes()) {
-        Ok(reader) => reader,
-        Err(_) => return,
-    };
-    let mut idle_since = Instant::now();
-    let mut refused = false;
-    loop {
-        match reader.poll_line() {
-            Ok(Poll::Frame(bytes)) => {
-                idle_since = Instant::now();
-                let Ok(line) = String::from_utf8(bytes) else {
-                    parchmint_obs::count("serve.net.frames.bad", 1);
-                    let error = WireError::new(ErrorKind::BadRequest, "request line is not UTF-8");
-                    write_event(&out, &protocol::error_event(&Value::Null, &error));
-                    refused = true;
-                    break;
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
+/// Speaks the line protocol on one TCP connection: each frame is a
+/// request, and a frame that cannot be one is refused with an `error`
+/// event that says why.
+fn line_connection(server: &Server, reader: &mut LineReader, out: &SharedWriter) -> Ending {
+    let message = loop {
+        match reader.next_frame(None) {
+            Ok(line) if line.trim().is_empty() => {}
+            Ok(line) => {
                 parchmint_obs::count("serve.net.frames", 1);
-                if server.handle_line(&line, &out, Some(&tracker)) == LineOutcome::Shutdown {
-                    // Unblock the accept loop so it can observe shutdown.
-                    let _ = TcpStream::connect(local);
-                    break;
+                if server.handle_line(&line, out, Some(reader.in_flight())) == LineOutcome::Shutdown
+                {
+                    return Ending::Shutdown;
                 }
             }
-            Ok(Poll::Pending {
-                frame_age: Some(age),
-                stalled,
-            }) => {
-                if stalled {
-                    // The peer paused mid-frame (or drips slower than the
-                    // poll tick); the reader reports it once per frame.
-                    parchmint_obs::count("serve.net.frames.stalled", 1);
-                }
-                if read_timeout.is_some_and(|timeout| age >= timeout) {
-                    parchmint_obs::count("serve.net.read_timeouts", 1);
-                    let error = WireError::new(
-                        ErrorKind::BadRequest,
-                        format!(
-                            "request frame incomplete after {} ms — closing",
-                            age.as_millis()
-                        ),
-                    );
-                    write_event(&out, &protocol::error_event(&Value::Null, &error));
-                    refused = true;
-                    break;
-                }
+            Err(NoFrame::Closed) => return Ending::Closed,
+            Err(NoFrame::TimedOut(age)) => {
+                break format!(
+                    "request frame incomplete after {} ms — closing",
+                    age.as_millis()
+                )
             }
-            Ok(Poll::Pending {
-                frame_age: None, ..
-            }) => {
-                if tracker.load(Ordering::Acquire) > 0 {
-                    // Quiet but waiting on responses — never evicted.
-                    idle_since = Instant::now();
-                } else if idle_timeout.is_some_and(|timeout| idle_since.elapsed() >= timeout) {
-                    parchmint_obs::count("serve.net.idle_closed", 1);
-                    break;
-                }
-            }
-            Ok(Poll::Oversized { limit }) => {
-                parchmint_obs::count("serve.net.frames.oversized", 1);
-                let error = WireError::new(
-                    ErrorKind::BadRequest,
-                    format!("request frame exceeds {limit} bytes"),
-                );
-                write_event(&out, &protocol::error_event(&Value::Null, &error));
-                refused = true;
-                break;
-            }
-            Ok(Poll::Eof { torn }) => {
-                if torn {
-                    parchmint_obs::count("serve.net.frames.torn", 1);
-                }
-                break;
-            }
-            Err(_) => {
-                parchmint_obs::count("serve.net.io_errors", 1);
-                break;
-            }
+            Err(NoFrame::Oversized(limit)) => break format!("request frame exceeds {limit} bytes"),
+            Err(NoFrame::NotUtf8) => break "request line is not UTF-8".to_string(),
         }
-    }
-    if refused {
-        // Lingering close: let the refusal reach a peer that is still
-        // sending instead of being destroyed by a reset.
-        reader.drain_for(Duration::from_millis(500));
-    }
-    parchmint_obs::count("serve.net.conn.closed", 1);
-}
-
-/// The TCP main loop: one reader thread per connection, until some
-/// connection sends `shutdown`. Responses to a submission always go to
-/// the connection that made it.
-fn tcp_loop(server: &Arc<Server>, listener: TcpListener) -> io::Result<()> {
-    let local = listener.local_addr()?;
-    for stream in listener.incoming() {
-        if server.is_shutting_down() {
-            break;
-        }
-        let Ok(stream) = stream else {
-            continue;
-        };
-        let server = Arc::clone(server);
-        std::thread::spawn(move || {
-            // The serve.net.* counts a connection makes land in stats.
-            server
-                .service
-                .recorded(|| line_connection(&server, stream, local));
-        });
-    }
-    Ok(())
+    };
+    let error = WireError::new(ErrorKind::BadRequest, message);
+    Ending::Refused(protocol::to_line(&protocol::error_event(&Value::Null, &error)).into_bytes())
 }
 
 /// Runs the daemon over the given transports until shutdown, then
@@ -475,12 +361,20 @@ pub fn serve(
         let server = Arc::clone(&server);
         let handle = std::thread::Builder::new()
             .name("serve-http".to_string())
-            .spawn(move || crate::http::run_http(&server, listener))
+            .spawn(move || net::accept_loop(&server, listener, crate::http::TRANSPORT))
             .expect("spawn http acceptor");
         (handle, local)
     });
     let result = match tcp {
-        Some(listener) => tcp_loop(&server, listener),
+        Some(listener) => {
+            let line = Transport {
+                accepted: "serve.net.conn.accepted",
+                closed: "serve.net.conn.closed",
+                max_frame: server.service.config().effective_line_max_bytes(),
+                speak: line_connection,
+            };
+            net::accept_loop(&server, listener, line)
+        }
         None => stdio_loop(&server),
     };
     server.begin_shutdown();
@@ -509,12 +403,6 @@ pub fn serve(
         }
     }
     result
-}
-
-/// Runs the daemon over `listener` until some connection sends
-/// `shutdown`, then drains admitted work and joins the workers.
-pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> io::Result<()> {
-    serve(service, Some(listener), None)
 }
 
 /// Binds the transports named by `config`, announces them, and runs
@@ -551,7 +439,7 @@ pub fn run(config: ServeConfig) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::service::ServeConfig;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn capture() -> (SharedWriter, Arc<Mutex<Vec<u8>>>) {
         #[derive(Clone)]

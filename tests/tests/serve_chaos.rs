@@ -10,7 +10,7 @@
 //! evicted without collateral damage to well-behaved connections.
 
 use parchmint_serve::{
-    serve_tcp, submit_suite, ChaosPlan, ChaosProxy, Client, ClientConfig, ServeConfig, Service,
+    serve, submit_suite, ChaosPlan, ChaosProxy, Client, ClientConfig, ServeConfig, Service,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -22,7 +22,7 @@ fn start_daemon(config: ServeConfig) -> (String, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handle = std::thread::spawn(move || {
-        serve_tcp(Arc::new(Service::new(config)), listener).expect("daemon runs");
+        serve(Arc::new(Service::new(config)), Some(listener), None).expect("daemon runs");
     });
     (addr, handle)
 }

@@ -290,6 +290,12 @@ fn malformed_http_is_refused_cleanly_never_hung() {
         "POST /v1/submit HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\n{}";
     assert_eq!(raw_statuses(&http_addr, conflicting.as_bytes()), vec![400]);
 
+    // A request line that is not UTF-8.
+    assert_eq!(
+        raw_statuses(&http_addr, b"GET /\xff\xfe HTTP/1.1\r\n\r\n"),
+        vec![400]
+    );
+
     // A body shorter than its declared Content-Length, then EOF.
     let truncated = "POST /v1/submit HTTP/1.1\r\nContent-Length: 500\r\n\r\n{\"benchmark\":";
     assert_eq!(raw_statuses(&http_addr, truncated.as_bytes()), vec![400]);
@@ -308,7 +314,39 @@ fn malformed_http_is_refused_cleanly_never_hung() {
     assert_eq!(status, 200);
     assert_eq!(body["status"].as_str(), Some("ok"));
 
+    // The non-UTF-8 request line is counted as a bad frame, as on the
+    // line transport.
     let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "serve.net.frames.bad"), 1, "{stats}");
+    client.shutdown().expect("shutdown ack");
+    handle.join().expect("daemon exits");
+}
+
+#[test]
+fn a_request_that_pauses_inside_a_header_line_is_served_and_its_stall_counted() {
+    // A 2 s read timeout polls every 100 ms: the pause below spans
+    // several ticks and stays far inside the timeout.
+    let config = ServeConfig::builder()
+        .workers(1)
+        .read_timeout_ms(2000)
+        .build();
+    let (tcp_addr, http_addr, handle) = start_daemon_with(config);
+    let mut stream = TcpStream::connect(&http_addr).expect("connect http");
+    stream
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: te")
+        .expect("write head start");
+    std::thread::sleep(std::time::Duration::from_millis(500));
+    stream
+        .write_all(b"st\r\nConnection: close\r\n\r\n")
+        .expect("write head end");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+
+    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    let stats = client.stats().expect("stats");
+    assert!(counter(&stats, "serve.net.frames.stalled") >= 1, "{stats}");
     client.shutdown().expect("shutdown ack");
     handle.join().expect("daemon exits");
 }

@@ -3,7 +3,7 @@
 //! error taxonomy, and cache sharing across connections.
 
 use parchmint_harness::{run_suite, SuiteRunConfig};
-use parchmint_serve::{serve_tcp, submit_suite, Client, ServeConfig, Service};
+use parchmint_serve::{serve, submit_suite, Client, ServeConfig, Service};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -17,7 +17,7 @@ fn start_daemon(config: ServeConfig) -> (String, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handle = std::thread::spawn(move || {
-        serve_tcp(Arc::new(Service::new(config)), listener).expect("daemon runs");
+        serve(Arc::new(Service::new(config)), Some(listener), None).expect("daemon runs");
     });
     (addr, handle)
 }
