@@ -19,7 +19,7 @@
 //! ```
 
 use parchmint::{CompiledDevice, Device};
-use parchmint_pnr::{place_and_route, PlacerChoice, RouterChoice};
+use parchmint_pnr::{place_and_route_resilient, PlacerChoice, PnrReport, RouterChoice};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -254,8 +254,9 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
     let output = option_value(args, "-o").ok_or("render: missing `-o FILE.svg`")?;
     let mut device = load_device(source)?;
     if has_flag(args, "--pnr") {
-        let report = place_and_route(&mut device, PlacerChoice::Annealing, RouterChoice::AStar);
-        eprintln!("{}", parchmint_pnr::PnrReport::header());
+        let report =
+            place_and_route_logged(&mut device, PlacerChoice::Annealing, RouterChoice::AStar)?;
+        eprintln!("{}", PnrReport::header());
         eprintln!("{}", report.row());
     }
     let svg = parchmint_render::render_svg_default(&device);
@@ -290,8 +291,8 @@ fn cmd_pnr(args: &[String]) -> Result<(), String> {
         "negotiate" => RouterChoice::Negotiate,
         other => return Err(format!("unknown router `{other}`")),
     };
-    let report = place_and_route(&mut device, placer, router);
-    println!("{}", parchmint_pnr::PnrReport::header());
+    let report = place_and_route_logged(&mut device, placer, router)?;
+    println!("{}", PnrReport::header());
     println!("{}", report.row());
     if let Some(output) = option_value(args, "-o") {
         let json = device.to_json_pretty().map_err(|e| e.to_string())?;
@@ -299,6 +300,20 @@ fn cmd_pnr(args: &[String]) -> Result<(), String> {
         eprintln!("wrote {output}");
     }
     Ok(())
+}
+
+/// Places and routes `device` through the guarded pipeline the sweep
+/// runs, printing each fallback it took to stderr.
+fn place_and_route_logged(
+    device: &mut Device,
+    placer: PlacerChoice,
+    router: RouterChoice,
+) -> Result<PnrReport, String> {
+    let run = place_and_route_resilient(device, placer, router, 0).map_err(|e| e.to_string())?;
+    for degradation in &run.degradations {
+        eprintln!("degraded: {degradation}");
+    }
+    Ok(run.report)
 }
 
 fn cmd_flow(args: &[String]) -> Result<(), String> {
@@ -911,6 +926,34 @@ mod tests {
         run(&strings(&["plan", "rotary_pump_mixer", "in_a", "out"])).unwrap();
         assert!(run(&strings(&["plan", "rotary_pump_mixer", "in_a"])).is_err());
         assert!(run(&strings(&["plan", "rotary_pump_mixer", "ghost", "out"])).is_err());
+    }
+
+    #[test]
+    fn pnr_of_an_outline_past_the_grid_limit_falls_back_to_straight_lines() {
+        // 200,000,000 µm a side is past the routing kernel's 32-bit state
+        // limit: the A* router panics, and the command routes with the
+        // straight-line fallback instead of crashing.
+        let dir = std::env::temp_dir().join("parchmint_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut device = load_device("logic_gate_or").unwrap();
+        device.set_declared_bounds(parchmint::geometry::Span::square(200_000_000));
+        let input = dir.join("huge_outline.json");
+        std::fs::write(&input, device.to_json().unwrap()).unwrap();
+        let output = dir.join("huge_outline_routed.json");
+        let (input, output) = (input.to_str().unwrap(), output.to_str().unwrap());
+        run(&strings(&[
+            "pnr", input, "--placer", "greedy", "--router", "astar", "-o", output,
+        ]))
+        .unwrap();
+        let routed = load_device(output).unwrap();
+        assert!(routed.is_placed());
+        assert!(
+            routed
+                .connections
+                .iter()
+                .any(|c| routed.route_of(&c.id).is_some()),
+            "the straight-line fallback routes"
+        );
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl Params {
         self.0.keys().map(String::as_str)
     }
 
-    /// Borrows the underlying JSON map.
-    pub fn as_map(&self) -> &serde_json::Map<String, Value> {
-        &self.0
-    }
-
     /// Builder-style insertion, for fluent construction.
     ///
     /// ```

@@ -2,7 +2,7 @@
 
 use parchmint::CompiledDevice;
 use parchmint_pnr::{place_and_route_resilient, PlacerChoice, RouterChoice};
-use parchmint_resilience::PipelineError;
+use parchmint_resilience::{interruption, PipelineError};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -136,6 +136,15 @@ fn pnr_stage(
     let mut device = compiled.device().clone();
     let resilient = place_and_route_resilient(&mut device, placer, router, ctx.attempt)?;
     let report = &resilient.report;
+    // Retry policy: a placement on which no net routed, with no budget to
+    // blame, earns a seed-bumped retry before its degradations count.
+    let nets = report.nets;
+    if nets > 0 && report.routed == 0 && interruption().is_none() {
+        return Err(
+            PipelineError::retryable(format!("no nets routed ({nets} attempted)"))
+                .with_hint("a seed-bumped retry may find a routable placement"),
+        );
+    }
     let metrics: BTreeMap<String, Value> = [
         ("components", Value::from(report.components)),
         ("nets", Value::from(report.nets)),
@@ -255,6 +264,47 @@ mod tests {
         assert!(names.contains(&"pnr:greedy+negotiate"));
         assert!(names.contains(&"pnr:annealing+negotiate"));
         assert_eq!(names.len(), 10);
+    }
+
+    #[test]
+    fn a_placement_with_no_routed_net_is_retried_then_an_error() {
+        use crate::engine::{execute_stage, ExecPolicy, MAX_ATTEMPTS};
+        use crate::report::CellStatus;
+        use parchmint::geometry::Span;
+        use parchmint::{Component, Connection, DeviceBuilder, Entity, Layer, LayerType, Target};
+
+        // A connection without a sink fails on every router, on every
+        // placement a retry could find.
+        let port = |id| Component::new(id, id, Entity::Port, ["f0"], Span::square(200));
+        let device = DeviceBuilder::new("dangling")
+            .layer(Layer::new("f0", "flow", LayerType::Flow))
+            .component(port("in"))
+            .component(port("out"))
+            .connection(Connection::new(
+                "c1",
+                "c1",
+                "f0",
+                Target::component_only("in"),
+                [],
+            ))
+            .build()
+            .expect("a referentially sound device");
+        let stage = standard_stages()
+            .into_iter()
+            .find(|stage| stage.name == "pnr:greedy+astar")
+            .expect("standard pnr stage");
+        let exec = execute_stage(
+            &stage,
+            &CompiledDevice::compile(device),
+            &ExecPolicy::new(),
+            None,
+            false,
+        );
+        let detail = exec.detail.unwrap_or_default();
+        assert_eq!(exec.status, CellStatus::Error, "{detail}");
+        assert!(detail.contains("no nets routed (1 attempted)"), "{detail}");
+        assert!(detail.contains("(after 3 attempts)"), "{detail}");
+        assert_eq!(exec.attempts, MAX_ATTEMPTS);
     }
 
     #[test]

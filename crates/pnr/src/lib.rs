@@ -10,10 +10,13 @@
 //! ([straight](route::straight::StraightRouter) L-path baseline,
 //! [A* maze](route::grid::AStarRouter), and the
 //! [negotiated-congestion](route::negotiate::NegotiatedRouter)
-//! PathFinder-style rip-up router) realize the channels. The
-//! [`place_and_route`] pipeline ties them together and produces the
-//! [`PnrReport`] rows that regenerate the paper's algorithm-comparison
-//! experiment.
+//! PathFinder-style rip-up router) realize the channels. One pipeline,
+//! [`place_and_route_resilient`], ties them together: it falls back to
+//! the greedy placer or the straight-line router when another algorithm
+//! panics or runs out of budget, records each [`Degradation`], and
+//! produces the [`PnrReport`] rows that regenerate the paper's
+//! algorithm-comparison experiment. [`place_and_route`] is the same
+//! pipeline at attempt 0 for callers that only want the report.
 //!
 //! ```
 //! use parchmint_pnr::{place_and_route, PlacerChoice, RouterChoice};

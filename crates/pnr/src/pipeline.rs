@@ -75,9 +75,19 @@ impl RouterChoice {
 
 /// Places and routes `device` in place, returning the quality report.
 ///
-/// On return `device` carries placement features for every component and
-/// route features for every successfully routed net, and its declared
-/// bounds are enlarged to cover the physical design.
+/// This is [`place_and_route_resilient`] at attempt 0 without its
+/// degradation list: a panicking or interrupted algorithm falls back
+/// exactly as it does there, and the report names the placer and router
+/// that produced the result. On return `device` carries placement
+/// features for every component and route features for every
+/// successfully routed net, and its declared bounds are enlarged to cover
+/// the physical design.
+///
+/// # Panics
+///
+/// When the last-resort greedy placer or straight-line router itself
+/// panics, the one case in which [`place_and_route_resilient`] returns an
+/// error.
 ///
 /// # Examples
 ///
@@ -94,41 +104,10 @@ pub fn place_and_route(
     placer: PlacerChoice,
     router: RouterChoice,
 ) -> PnrReport {
-    let p = placer.placer();
-    let r = router.router();
-
-    // Two compiled views: one of the logical netlist for placement, one of
-    // the placed device (placement features present) for routing. The
-    // routing view stays valid for the report because routing only adds
-    // features, which none of the report metrics read through the index.
-    let unplaced = CompiledDevice::from_ref(device);
-    let t0 = Instant::now();
-    let placement = {
-        let _span = parchmint_obs::Span::enter("pnr.place");
-        p.place(&unplaced)
-    };
-    let place_time = t0.elapsed();
-    placement.apply_to(device);
-
-    let placed = CompiledDevice::from_ref(device);
-    let t1 = Instant::now();
-    let routing = {
-        let _span = parchmint_obs::Span::enter("pnr.route");
-        r.route(&placed)
-    };
-    let route_time = t1.elapsed();
-    routing.apply_to(device);
-
-    PnrReport::from_run(
-        &device.name,
-        p.name(),
-        r.name(),
-        &placed,
-        &placement,
-        &routing,
-        place_time,
-        route_time,
-    )
+    match place_and_route_resilient(device, placer, router, 0) {
+        Ok(run) => run.report,
+        Err(error) => panic!("place and route failed: {error}"),
+    }
 }
 
 /// One recorded substitution made by [`place_and_route_resilient`]: which
@@ -168,8 +147,11 @@ pub struct ResilientPnr {
 /// falls back to straight-line, but an *interrupted* negotiation keeps its
 /// own conflict-free partial result (the router's internal fallback is
 /// already legal). Every substitution is recorded in
-/// [`ResilientPnr::degradations`]. `attempt` seeds deterministic retries
-/// (see [`PlacerChoice::placer_for_attempt`]).
+/// [`ResilientPnr::degradations`], and the report names the placer and
+/// router that actually produced the result. `attempt` seeds
+/// deterministic retries (see [`PlacerChoice::placer_for_attempt`]);
+/// whether a result is worth retrying (say, one on which no net routed)
+/// is the caller's policy.
 ///
 /// Errors are [`PipelineError::fatal`] only when the baseline fallback
 /// itself fails — there is nothing further to degrade to.
@@ -183,12 +165,17 @@ pub fn place_and_route_resilient(
     let p = placer.placer_for_attempt(attempt);
     let r = router.router();
 
+    // Two compiled views: one of the logical netlist for placement, one of
+    // the placed device (placement features present) for routing. The
+    // routing view stays valid for the report because routing only adds
+    // features, which none of the report metrics read through the index.
     let unplaced = CompiledDevice::from_ref(device);
     let interrupted_before_place = interruption().is_some();
     let t0 = Instant::now();
+    let mut effective_placer = p.name();
     let placement = {
         let _span = parchmint_obs::Span::enter("pnr.place");
-        match attempt_place(p.as_ref(), &unplaced) {
+        match catch_panic(|| p.place(&unplaced)) {
             Ok(placement) => {
                 if !interrupted_before_place {
                     if let Some(reason) = interruption() {
@@ -207,7 +194,8 @@ pub fn place_and_route_resilient(
                     phase: "place",
                     action: format!("annealing panicked ({message}); fell back to greedy"),
                 });
-                attempt_place(&GreedyPlacer::new(), &unplaced).map_err(|fallback| {
+                effective_placer = "greedy";
+                catch_panic(|| GreedyPlacer::new().place(&unplaced)).map_err(|fallback| {
                     PipelineError::fatal(format!("fallback greedy placer panicked: {fallback}"))
                         .with_hint("no further placement fallback exists")
                 })?
@@ -287,17 +275,9 @@ pub fn place_and_route_resilient(
     let route_time = t1.elapsed();
     routing.apply_to(device);
 
-    let nets = routing.routed.len() + routing.failed.len();
-    if nets > 0 && routing.routed.is_empty() && interruption().is_none() {
-        return Err(
-            PipelineError::retryable(format!("no nets routed ({nets} attempted)"))
-                .with_hint("a seed-bumped retry may find a routable placement"),
-        );
-    }
-
     let report = PnrReport::from_run(
         &device.name,
-        p.name(),
+        effective_placer,
         effective_router,
         &placed,
         &placement,
@@ -309,13 +289,6 @@ pub fn place_and_route_resilient(
         report,
         degradations,
     })
-}
-
-fn attempt_place(
-    placer: &dyn Placer,
-    compiled: &CompiledDevice,
-) -> Result<crate::place::Placement, String> {
-    catch_panic(|| placer.place(compiled))
 }
 
 #[cfg(test)]
@@ -385,6 +358,7 @@ mod tests {
                 "{router:?}: {}",
                 degradation.action
             );
+            assert_eq!(run.report.router, "straight");
         }
     }
 

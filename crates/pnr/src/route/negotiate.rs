@@ -96,11 +96,6 @@ impl NegotiatedRouter {
     pub fn new() -> Self {
         NegotiatedRouter::default()
     }
-
-    /// Creates a router with explicit tuning.
-    pub fn with_config(config: NegotiatedRouterConfig) -> Self {
-        NegotiatedRouter { config }
-    }
 }
 
 /// Per-net negotiation state.

@@ -35,11 +35,6 @@ impl StraightRouter {
     pub fn new() -> Self {
         StraightRouter::default()
     }
-
-    /// Creates a router with explicit tuning.
-    pub fn with_config(config: StraightRouterConfig) -> Self {
-        StraightRouter { config }
-    }
 }
 
 /// A thin rectangle standing in for a rectilinear segment (zero-extent axes

@@ -93,11 +93,6 @@ impl PipelineError {
         }
         self
     }
-
-    /// Builds a [`Severity::Fatal`] error from a caught panic payload.
-    pub fn from_panic(payload: &(dyn Any + Send)) -> PipelineError {
-        PipelineError::fatal(panic_message(payload))
-    }
 }
 
 impl fmt::Display for PipelineError {

@@ -112,14 +112,6 @@ fn require_u64(entry: &Value, key: &str, context: &str) -> Result<u64, String> {
 }
 
 impl ChaosPlan {
-    /// A plan with no faults: the proxy forwards everything verbatim.
-    pub fn passthrough() -> ChaosPlan {
-        ChaosPlan {
-            seed: 0,
-            faults: Vec::new(),
-        }
-    }
-
     /// Parses and validates a plan document.
     pub fn from_json_str(text: &str) -> Result<ChaosPlan, String> {
         let doc: Value =

@@ -142,12 +142,6 @@ impl ClientConfig {
         self
     }
 
-    /// Sets the per-write deadline (zero disables it).
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
-
     /// Sets the backoff's base (minimum) and cap (maximum) pause.
     pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
         self.backoff_base = base;

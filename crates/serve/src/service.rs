@@ -518,16 +518,22 @@ impl Service {
             parchmint_obs::count("serve.requests.submitted", 1);
             let in_flight = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
             self.peak_in_flight.fetch_max(in_flight, Ordering::Relaxed);
-            let _slot = InFlight(&self.in_flight);
-            self.run_submission(request, emit);
+            let slot = InFlight(&self.in_flight);
+            let last = self.run_submission(request, emit);
+            // The request ends before its last event goes out, so a
+            // `stats` asked after `done` counts it completed.
             parchmint_obs::count("serve.requests.completed", 1);
+            drop(slot);
+            emit(last);
         });
     }
 
-    fn run_submission(&self, request: &SubmitRequest, emit: &mut dyn FnMut(Value)) {
+    /// Streams a submission's `cell` events through `emit` and returns
+    /// its final event, `done` or `error`, for the caller to send last.
+    fn run_submission(&self, request: &SubmitRequest, emit: &mut dyn FnMut(Value)) -> Value {
         let (doc, mut device) = match self.resolve(&request.source) {
             Ok(resolved) => resolved,
-            Err(error) => return emit(error_event(&request.id, &error)),
+            Err(error) => return error_event(&request.id, &error),
         };
         let key = hash::canonical_hash(&doc);
         let policy = self.policy_for(request);
@@ -536,7 +542,7 @@ impl Service {
         if device.is_none() && self.config.faults.is_some() {
             match parse_design(&doc) {
                 Ok(parsed) => device = Some(parsed),
-                Err(error) => return emit(error_event(&request.id, &error)),
+                Err(error) => return error_event(&request.id, &error),
             }
         }
         let faults = device.as_ref().and_then(|d| self.faults_for(&d.name));
@@ -554,7 +560,7 @@ impl Service {
                 CompileOutcome::Uncached(entry, wall) => {
                     (entry.design().to_string(), Ok((entry, Some(wall), false)))
                 }
-                CompileOutcome::Invalid(error) => return emit(error_event(&request.id, &error)),
+                CompileOutcome::Invalid(error) => return error_event(&request.id, &error),
                 CompileOutcome::Panicked(design, panic) => (design, Err(panic)),
             };
 
@@ -591,15 +597,7 @@ impl Service {
                         false,
                     ));
                 }
-                emit(done_event(
-                    &request.id,
-                    &design,
-                    &hash::hex(key),
-                    false,
-                    None,
-                    cells,
-                ));
-                return;
+                return done_event(&request.id, &design, &hash::hex(key), false, None, cells);
             }
         };
 
@@ -631,14 +629,14 @@ impl Service {
             ));
         }
 
-        emit(done_event(
+        done_event(
             &request.id,
             &design,
             &hash::hex(key),
             compile_wall.is_none(),
             compile_wall.map(|wall| wall.as_secs_f64() * 1e3),
             cells,
-        ));
+        )
     }
 
     /// Gets the compile artifact for the canonical document `doc`: from
@@ -1108,6 +1106,20 @@ mod tests {
         assert_eq!(stats["cache"]["memory_hits"], Value::from(1u64));
         assert_eq!(stats["cache"]["stage_hits"], Value::from(1u64));
         assert_eq!(stats["flights"]["compiles"], Value::from(0));
+    }
+
+    #[test]
+    fn stats_read_when_done_arrives_count_the_request_ended() {
+        let service = Service::new(ServeConfig::default());
+        let mut at_done = None;
+        service.process_submit(&submit("logic_gate_or"), &mut |event| {
+            if event["event"] == "done" {
+                at_done = Some(service.stats_json());
+            }
+        });
+        let stats = at_done.expect("the submission ends in `done`");
+        assert_eq!(stats["requests"]["completed"], Value::from(1u64), "{stats}");
+        assert_eq!(stats["requests"]["in_flight"], Value::from(0), "{stats}");
     }
 
     #[test]

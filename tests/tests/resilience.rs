@@ -184,6 +184,34 @@ fn degraded_pnr_keeps_the_partial_anneal_and_falls_back_to_straight() {
 }
 
 #[test]
+fn an_annealing_panic_reports_the_greedy_placer_that_placed() {
+    let mut device = parchmint_suite::by_name("logic_gate_or")
+        .expect("registered benchmark")
+        .device();
+    let plan = Arc::new(FaultPlan::single("pnr.place", FaultKind::Panic));
+    let run = parchmint_resilience::with_faults(plan, || {
+        parchmint_pnr::place_and_route_resilient(
+            &mut device,
+            PlacerChoice::Annealing,
+            RouterChoice::AStar,
+            0,
+        )
+    })
+    .expect("the greedy fallback places");
+    assert_eq!(run.report.placer, "greedy");
+    assert_eq!(run.report.router, "astar");
+    let [degradation] = run.degradations.as_slice() else {
+        panic!("{:?}", run.degradations);
+    };
+    assert_eq!(degradation.phase, "place");
+    assert!(
+        degradation.action.contains("fell back to greedy"),
+        "{}",
+        degradation.action
+    );
+}
+
+#[test]
 fn fault_plan_drives_every_injected_cell_to_a_recorded_terminal_state() {
     let mut plan = FaultPlan::new();
     plan.push(FaultSpec {

@@ -9,23 +9,11 @@
 //! `serve.net.*` counter, and slow-drip / oversized / idle peers are
 //! evicted without collateral damage to well-behaved connections.
 
-use parchmint_serve::{
-    serve, submit_suite, ChaosPlan, ChaosProxy, Client, ClientConfig, ServeConfig, Service,
-};
+use parchmint_integration_tests::Daemon;
+use parchmint_serve::{submit_suite, ChaosPlan, ChaosProxy, Client, ClientConfig, ServeConfig};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::TcpStream;
 use std::time::Duration;
-
-fn start_daemon(config: ServeConfig) -> (String, JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || {
-        serve(Arc::new(Service::new(config)), Some(listener), None).expect("daemon runs");
-    });
-    (addr, handle)
-}
 
 /// Tight backoff so faulted runs stay fast; everything else default.
 fn fast_reconnects() -> ClientConfig {
@@ -34,7 +22,8 @@ fn fast_reconnects() -> ClientConfig {
 
 #[test]
 fn a_faulted_suite_submission_is_byte_identical_and_every_fault_is_counted() {
-    let (daemon_addr, handle) = start_daemon(ServeConfig::builder().workers(2).build());
+    let daemon = Daemon::start(ServeConfig::builder().workers(2).build());
+    let daemon_addr = daemon.addr.as_str();
 
     // Accept-order plan: connection 0 is truncated mid-stream, 1 is
     // severed abruptly, 2 gets a garbage prefix that desynchronizes the
@@ -52,7 +41,7 @@ fn a_faulted_suite_submission_is_byte_identical_and_every_fault_is_counted() {
         }"#,
     )
     .expect("plan parses");
-    let proxy = ChaosProxy::spawn(plan, "127.0.0.1:0", &daemon_addr).expect("proxy binds");
+    let proxy = ChaosProxy::spawn(plan, "127.0.0.1:0", daemon_addr).expect("proxy binds");
     let proxy_addr = proxy.local_addr().to_string();
 
     let benchmarks: Vec<String> = ["logic_gate_and", "logic_gate_or"]
@@ -77,7 +66,7 @@ fn a_faulted_suite_submission_is_byte_identical_and_every_fault_is_counted() {
     // The same submission straight to the daemon: stripped reports must
     // be byte-identical — resume is idempotent, nothing lost, nothing
     // duplicated.
-    let mut direct_client = Client::connect(&daemon_addr).expect("connect direct");
+    let mut direct_client = Client::connect(daemon_addr).expect("connect direct");
     let direct = submit_suite(&mut direct_client, Some(&benchmarks), Some(&stages), 4)
         .expect("direct submission");
     assert_eq!(
@@ -111,22 +100,23 @@ fn a_faulted_suite_submission_is_byte_identical_and_every_fault_is_counted() {
 
     direct_client.shutdown().expect("shutdown ack");
     drop(proxy);
-    handle.join().expect("daemon exits");
+    daemon.join();
 }
 
 #[test]
 fn a_slowloris_dripper_is_evicted_while_real_work_completes() {
-    let (addr, handle) = start_daemon(
+    let daemon = Daemon::start(
         ServeConfig::builder()
             .workers(2)
             .read_timeout_ms(400)
             .build(),
     );
+    let addr = daemon.addr.as_str();
 
     // The attacker: one byte of a never-finished frame every 100 ms —
     // steady progress, so a naive "no bytes recently" check would never
     // fire. Eviction must key off the age of the incomplete frame.
-    let mut dripper = TcpStream::connect(&addr).expect("connect dripper");
+    let mut dripper = TcpStream::connect(addr).expect("connect dripper");
     dripper
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
@@ -142,7 +132,7 @@ fn a_slowloris_dripper_is_evicted_while_real_work_completes() {
     });
 
     // Meanwhile a well-behaved client is not starved by the dripper.
-    let mut client = Client::connect(&addr).expect("connect client");
+    let mut client = Client::connect(addr).expect("connect client");
     let benchmarks = vec!["logic_gate_or".to_string()];
     let stages = vec!["validate".to_string()];
     let served =
@@ -179,20 +169,21 @@ fn a_slowloris_dripper_is_evicted_while_real_work_completes() {
     );
 
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 }
 
 #[test]
 fn a_multi_megabyte_line_sent_in_one_write_is_not_a_stall() {
     // A generous read timeout, so the poll tick is its 100 ms ceiling:
     // far longer than loopback takes between two reads of one line.
-    let (addr, handle) = start_daemon(
+    let daemon = Daemon::start(
         ServeConfig::builder()
             .workers(1)
             .read_timeout_ms(60_000)
             .build(),
     );
-    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let addr = daemon.addr.as_str();
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
@@ -207,7 +198,7 @@ fn a_multi_megabyte_line_sent_in_one_write_is_not_a_stall() {
         .expect("read pong");
     assert!(pong.contains("pong"), "{pong}");
 
-    let mut client = Client::connect(&addr).expect("connect client");
+    let mut client = Client::connect(addr).expect("connect client");
     let stats = client.stats().expect("stats");
     let counters = &stats["counters"];
     assert!(
@@ -220,21 +211,22 @@ fn a_multi_megabyte_line_sent_in_one_write_is_not_a_stall() {
         "a line that keeps arriving is not a stall: {counters}"
     );
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 }
 
 #[test]
 fn oversized_frames_and_idle_connections_are_refused_politely() {
-    let (addr, handle) = start_daemon(
+    let daemon = Daemon::start(
         ServeConfig::builder()
             .workers(1)
             .line_max_bytes(1024)
             .idle_timeout_ms(300)
             .build(),
     );
+    let addr = daemon.addr.as_str();
 
     // A frame past the cap is refused with a diagnostic, not buffered.
-    let mut oversized = TcpStream::connect(&addr).expect("connect oversized");
+    let mut oversized = TcpStream::connect(addr).expect("connect oversized");
     oversized
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
@@ -251,19 +243,19 @@ fn oversized_frames_and_idle_connections_are_refused_politely() {
 
     // A connection that never says anything is evicted at the idle
     // timeout: EOF, no error spam.
-    let mut idle = TcpStream::connect(&addr).expect("connect idle");
+    let mut idle = TcpStream::connect(addr).expect("connect idle");
     idle.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
     let mut sink = String::new();
     idle.read_to_string(&mut sink).expect("idle read");
     assert_eq!(sink, "", "idle eviction is a silent close");
 
-    let mut client = Client::connect(&addr).expect("connect client");
+    let mut client = Client::connect(addr).expect("connect client");
     let stats = client.stats().expect("stats");
     let counters = &stats["counters"];
     assert!(counters["serve.net.frames.oversized"].as_u64().unwrap_or(0) >= 1);
     assert!(counters["serve.net.idle_closed"].as_u64().unwrap_or(0) >= 1);
 
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 }

@@ -2,29 +2,16 @@
 //! and parity with the line protocol (both transports share one
 //! service, queue, and cache).
 
+use parchmint_integration_tests::Daemon;
 use parchmint_serve::hash::{content_hash, hex};
-use parchmint_serve::{serve, Client, ServeConfig, Service};
+use parchmint_serve::{Client, ServeConfig};
 use serde_json::Value;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::TcpStream;
 
-/// Starts a daemon with both transports; returns (tcp addr, http addr).
-fn start_daemon() -> (String, String, JoinHandle<()>) {
-    start_daemon_with(ServeConfig::builder().workers(2).build())
-}
-
-fn start_daemon_with(config: ServeConfig) -> (String, String, JoinHandle<()>) {
-    let tcp = TcpListener::bind("127.0.0.1:0").expect("bind tcp");
-    let http = TcpListener::bind("127.0.0.1:0").expect("bind http");
-    let tcp_addr = tcp.local_addr().expect("tcp addr").to_string();
-    let http_addr = http.local_addr().expect("http addr").to_string();
-    let service = Arc::new(Service::new(config));
-    let handle = std::thread::spawn(move || {
-        serve(service, Some(tcp), Some(http)).expect("daemon runs");
-    });
-    (tcp_addr, http_addr, handle)
+/// Starts a daemon with both transports.
+fn start_daemon() -> Daemon {
+    Daemon::start_with_http(ServeConfig::builder().workers(2).build())
 }
 
 /// One plain HTTP/1.1 round trip on a fresh connection.
@@ -57,17 +44,18 @@ fn exchange(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, S
 
 #[test]
 fn http_routes_and_status_codes_follow_the_taxonomy() {
-    let (tcp_addr, http_addr, handle) = start_daemon();
+    let daemon = start_daemon();
+    let (tcp_addr, http_addr) = (daemon.addr.as_str(), daemon.http_addr());
 
     // healthz: alive and versioned.
-    let (status, body) = roundtrip(&http_addr, "GET", "/v1/healthz", None);
+    let (status, body) = roundtrip(http_addr, "GET", "/v1/healthz", None);
     assert_eq!(status, 200);
     assert_eq!(body["status"].as_str(), Some("ok"));
     assert_eq!(body["proto"].as_str(), Some("parchmint-serve/1"));
 
     // A good submission: 200 with the full event stream, done last.
     let (status, body) = roundtrip(
-        &http_addr,
+        http_addr,
         "POST",
         "/v1/submit",
         Some(r#"{"benchmark":"logic_gate_or","stages":["validate"]}"#),
@@ -78,13 +66,13 @@ fn http_routes_and_status_codes_follow_the_taxonomy() {
     assert_eq!(events[0]["cell"]["status"].as_str(), Some("ok"));
 
     // Unparseable body → 400 bad_request.
-    let (status, body) = roundtrip(&http_addr, "POST", "/v1/submit", Some("not json"));
+    let (status, body) = roundtrip(http_addr, "POST", "/v1/submit", Some("not json"));
     assert_eq!(status, 400);
     assert_eq!(body["error"]["kind"].as_str(), Some("bad_request"));
 
     // Wrong protocol major → 400 unsupported_proto.
     let (status, body) = roundtrip(
-        &http_addr,
+        http_addr,
         "POST",
         "/v1/submit",
         Some(r#"{"proto":"parchmint-serve/9","benchmark":"logic_gate_or"}"#),
@@ -95,7 +83,7 @@ fn http_routes_and_status_codes_follow_the_taxonomy() {
     // Unknown benchmark → admitted, then refused: 422 with the
     // `invalid_design` error event in the stream.
     let (status, body) = roundtrip(
-        &http_addr,
+        http_addr,
         "POST",
         "/v1/submit",
         Some(r#"{"benchmark":"not_a_benchmark"}"#),
@@ -108,7 +96,7 @@ fn http_routes_and_status_codes_follow_the_taxonomy() {
     assert_eq!(last["error"]["kind"].as_str(), Some("invalid_design"));
 
     // Stats: both transports' traffic lands in one counter set.
-    let (status, body) = roundtrip(&http_addr, "GET", "/v1/stats", None);
+    let (status, body) = roundtrip(http_addr, "GET", "/v1/stats", None);
     assert_eq!(status, 200);
     assert_eq!(body["schema"].as_str(), Some("parchmint-serve-stats/v2"));
     assert!(body["requests"]["submitted"].as_u64().unwrap() >= 1);
@@ -118,17 +106,17 @@ fn http_routes_and_status_codes_follow_the_taxonomy() {
     );
 
     // Unknown route → 404; unsupported method → 405.
-    let (status, _) = roundtrip(&http_addr, "GET", "/v1/nope", None);
+    let (status, _) = roundtrip(http_addr, "GET", "/v1/nope", None);
     assert_eq!(status, 404);
-    let (status, _) = roundtrip(&http_addr, "DELETE", "/v1/stats", None);
+    let (status, _) = roundtrip(http_addr, "DELETE", "/v1/stats", None);
     assert_eq!(status, 405);
 
     // The line protocol sees the HTTP submission's cache entry.
-    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    let mut client = Client::connect(tcp_addr).expect("connect tcp");
     let stats = client.stats().expect("stats over tcp");
     assert_eq!(stats["cache"]["entries"].as_u64(), Some(1));
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 }
 
 /// The final event of every slot in a batch response, in slot order.
@@ -154,7 +142,8 @@ fn counter(stats: &Value, name: &str) -> u64 {
 
 #[test]
 fn http_batches_are_admitted_element_by_element_through_the_shared_queue() {
-    let (tcp_addr, http_addr, handle) = start_daemon();
+    let daemon = start_daemon();
+    let (tcp_addr, http_addr) = (daemon.addr.as_str(), daemon.http_addr());
 
     // Results come back in element order; a malformed element fails
     // only its own slot, and the batch answers with its status.
@@ -163,7 +152,7 @@ fn http_batches_are_admitted_element_by_element_through_the_shared_queue() {
         {"id":1,"benchmark":7},
         {"id":2,"benchmark":"logic_gate_and","stages":["validate"]}
     ]"#;
-    let (status, body) = roundtrip(&http_addr, "POST", "/v1/submit", Some(batch));
+    let (status, body) = roundtrip(http_addr, "POST", "/v1/submit", Some(batch));
     assert_eq!(status, 400, "{body}");
     assert_eq!(body["proto"].as_str(), Some("parchmint-serve/1"));
     let finals = batch_finals(&body);
@@ -177,23 +166,23 @@ fn http_batches_are_admitted_element_by_element_through_the_shared_queue() {
 
     // Six identical elements compile once and execute the stage once;
     // the other five replay it.
-    let (_, before) = roundtrip(&http_addr, "GET", "/v1/stats", None);
+    let (_, before) = roundtrip(http_addr, "GET", "/v1/stats", None);
     let element = r#"{"benchmark":"rotary_pump_mixer","stages":["validate"]}"#;
     let batch = format!("[{}]", [element; 6].join(","));
-    let (status, body) = roundtrip(&http_addr, "POST", "/v1/submit", Some(&batch));
+    let (status, body) = roundtrip(http_addr, "POST", "/v1/submit", Some(&batch));
     assert_eq!(status, 200, "{body}");
     assert!(batch_finals(&body)
         .iter()
         .all(|event| event["event"] == "done"));
-    let (_, after) = roundtrip(&http_addr, "GET", "/v1/stats", None);
+    let (_, after) = roundtrip(http_addr, "GET", "/v1/stats", None);
     let delta = |name: &str| counter(&after, name) - counter(&before, name);
     assert_eq!(delta("serve.compile.executed"), 1);
     assert_eq!(delta("serve.stage.executed"), 1);
     assert_eq!(delta("serve.stage.replayed"), 5);
 
-    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    let mut client = Client::connect(tcp_addr).expect("connect tcp");
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 
     // One worker and one queue slot: a batch of fuel-bounded elements
     // (never cache hits) overflows the queue, and the overflow comes
@@ -201,11 +190,12 @@ fn http_batches_are_admitted_element_by_element_through_the_shared_queue() {
     // job generates, compiles and validates a ~192-component design,
     // far longer than admitting the next element takes.
     let config = ServeConfig::builder().workers(1).queue_capacity(1).build();
-    let (tcp_addr, http_addr, handle) = start_daemon_with(config);
+    let daemon = Daemon::start_with_http(config);
+    let (tcp_addr, http_addr) = (daemon.addr.as_str(), daemon.http_addr());
     let element =
         r#"{"benchmark":"planar_synthetic_5","stages":["validate"],"fuel":1000000000000}"#;
     let batch = format!("[{}]", [element; 8].join(","));
-    let (status, head, body) = exchange(&http_addr, "POST", "/v1/submit", Some(&batch));
+    let (status, head, body) = exchange(http_addr, "POST", "/v1/submit", Some(&batch));
     let finals = batch_finals(&body);
     assert_eq!(finals.len(), 8);
     let busy = finals
@@ -222,9 +212,9 @@ fn http_batches_are_admitted_element_by_element_through_the_shared_queue() {
     assert_eq!(status, 503, "{body}");
     assert!(head.contains("\r\nRetry-After: "), "{head}");
 
-    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    let mut client = Client::connect(tcp_addr).expect("connect tcp");
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 }
 
 /// Sends raw bytes on a fresh connection, half-closes, and returns the
@@ -259,18 +249,19 @@ fn raw_statuses(addr: &str, payload: &[u8]) -> Vec<u16> {
 
 #[test]
 fn malformed_http_is_refused_cleanly_never_hung() {
-    let (tcp_addr, http_addr, handle) = start_daemon();
+    let daemon = start_daemon();
+    let (tcp_addr, http_addr) = (daemon.addr.as_str(), daemon.http_addr());
 
     // An absurd request line: refused at the size cap, not buffered.
     let huge_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(16 << 10));
-    assert_eq!(raw_statuses(&http_addr, huge_line.as_bytes()), vec![400]);
+    assert_eq!(raw_statuses(http_addr, huge_line.as_bytes()), vec![400]);
 
     // One oversized header line.
     let huge_header = format!(
         "GET /v1/healthz HTTP/1.1\r\nX-Padding: {}\r\n\r\n",
         "b".repeat(16 << 10)
     );
-    assert_eq!(raw_statuses(&http_addr, huge_header.as_bytes()), vec![400]);
+    assert_eq!(raw_statuses(http_addr, huge_header.as_bytes()), vec![400]);
 
     // Unbounded header *count* is as dangerous as header size.
     let mut many_headers = String::from("GET /v1/healthz HTTP/1.1\r\n");
@@ -278,49 +269,49 @@ fn malformed_http_is_refused_cleanly_never_hung() {
         many_headers.push_str(&format!("X-F{i}: v\r\n"));
     }
     many_headers.push_str("\r\n");
-    assert_eq!(raw_statuses(&http_addr, many_headers.as_bytes()), vec![400]);
+    assert_eq!(raw_statuses(http_addr, many_headers.as_bytes()), vec![400]);
 
     // A Content-Length that is not a number.
     let bad_length = "POST /v1/submit HTTP/1.1\r\nContent-Length: banana\r\n\r\n";
-    assert_eq!(raw_statuses(&http_addr, bad_length.as_bytes()), vec![400]);
+    assert_eq!(raw_statuses(http_addr, bad_length.as_bytes()), vec![400]);
 
     // Two Content-Length headers that disagree — the classic request
     // smuggling vector. Refuse, don't pick one.
     let conflicting =
         "POST /v1/submit HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\n{}";
-    assert_eq!(raw_statuses(&http_addr, conflicting.as_bytes()), vec![400]);
+    assert_eq!(raw_statuses(http_addr, conflicting.as_bytes()), vec![400]);
 
     // A request line that is not UTF-8.
     assert_eq!(
-        raw_statuses(&http_addr, b"GET /\xff\xfe HTTP/1.1\r\n\r\n"),
+        raw_statuses(http_addr, b"GET /\xff\xfe HTTP/1.1\r\n\r\n"),
         vec![400]
     );
 
     // A body shorter than its declared Content-Length, then EOF.
     let truncated = "POST /v1/submit HTTP/1.1\r\nContent-Length: 500\r\n\r\n{\"benchmark\":";
-    assert_eq!(raw_statuses(&http_addr, truncated.as_bytes()), vec![400]);
+    assert_eq!(raw_statuses(http_addr, truncated.as_bytes()), vec![400]);
 
     // Pipelined garbage after a valid request: the good request is
     // answered, the garbage gets a 400, the connection closes — no
     // hang, no smuggled interpretation.
     let pipelined = "GET /v1/healthz HTTP/1.1\r\n\r\nTOTAL GARBAGE\r\nmore garbage\r\n\r\n";
     assert_eq!(
-        raw_statuses(&http_addr, pipelined.as_bytes()),
+        raw_statuses(http_addr, pipelined.as_bytes()),
         vec![200, 400]
     );
 
     // After all of that abuse, the daemon still serves.
-    let (status, body) = roundtrip(&http_addr, "GET", "/v1/healthz", None);
+    let (status, body) = roundtrip(http_addr, "GET", "/v1/healthz", None);
     assert_eq!(status, 200);
     assert_eq!(body["status"].as_str(), Some("ok"));
 
     // The non-UTF-8 request line is counted as a bad frame, as on the
     // line transport.
-    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    let mut client = Client::connect(tcp_addr).expect("connect tcp");
     let stats = client.stats().expect("stats");
     assert_eq!(counter(&stats, "serve.net.frames.bad"), 1, "{stats}");
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 }
 
 #[test]
@@ -331,8 +322,9 @@ fn a_request_that_pauses_inside_a_header_line_is_served_and_its_stall_counted() 
         .workers(1)
         .read_timeout_ms(2000)
         .build();
-    let (tcp_addr, http_addr, handle) = start_daemon_with(config);
-    let mut stream = TcpStream::connect(&http_addr).expect("connect http");
+    let daemon = Daemon::start_with_http(config);
+    let (tcp_addr, http_addr) = (daemon.addr.as_str(), daemon.http_addr());
+    let mut stream = TcpStream::connect(http_addr).expect("connect http");
     stream
         .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: te")
         .expect("write head start");
@@ -344,18 +336,19 @@ fn a_request_that_pauses_inside_a_header_line_is_served_and_its_stall_counted() 
     stream.read_to_string(&mut response).expect("read response");
     assert!(response.starts_with("HTTP/1.1 200"), "{response}");
 
-    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    let mut client = Client::connect(tcp_addr).expect("connect tcp");
     let stats = client.stats().expect("stats");
     assert!(counter(&stats, "serve.net.frames.stalled") >= 1, "{stats}");
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 }
 
 #[test]
 fn http_keep_alive_serves_sequential_requests_on_one_connection() {
-    let (tcp_addr, http_addr, handle) = start_daemon();
+    let daemon = start_daemon();
+    let (tcp_addr, http_addr) = (daemon.addr.as_str(), daemon.http_addr());
 
-    let mut stream = TcpStream::connect(&http_addr).expect("connect http");
+    let mut stream = TcpStream::connect(http_addr).expect("connect http");
     for _ in 0..2 {
         stream
             .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n\r\n")
@@ -371,9 +364,9 @@ fn http_keep_alive_serves_sequential_requests_on_one_connection() {
     }
     drop(stream);
 
-    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    let mut client = Client::connect(tcp_addr).expect("connect tcp");
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 }
 
 /// Pretty-prints `value` with every object's members in reverse order.
@@ -408,7 +401,8 @@ fn pretty_reversed(value: &Value, depth: usize) -> String {
 
 #[test]
 fn a_design_resubmitted_in_another_layout_is_served_from_the_cache() {
-    let (tcp_addr, http_addr, handle) = start_daemon();
+    let daemon = start_daemon();
+    let (tcp_addr, http_addr) = (daemon.addr.as_str(), daemon.http_addr());
     let compact = parchmint_suite::by_name("rotary_pump_mixer")
         .expect("registered benchmark")
         .device()
@@ -422,7 +416,7 @@ fn a_design_resubmitted_in_another_layout_is_served_from_the_cache() {
     let mut replies = Vec::new();
     for design in [&shuffled, &compact] {
         let body = format!("{{\n  \"stages\": [\"validate\"],\n  \"design\": {design}\n}}");
-        let (status, reply) = roundtrip(&http_addr, "POST", "/v1/submit", Some(&body));
+        let (status, reply) = roundtrip(http_addr, "POST", "/v1/submit", Some(&body));
         assert_eq!(status, 200, "{reply}");
         replies.push(reply["events"].as_array().expect("events").clone());
     }
@@ -433,7 +427,7 @@ fn a_design_resubmitted_in_another_layout_is_served_from_the_cache() {
     assert_eq!(done[1]["cached"], Value::from(true));
     assert_eq!(replies[1][0]["cached"], Value::from(true));
 
-    let mut client = Client::connect(&tcp_addr).expect("connect tcp");
+    let mut client = Client::connect(tcp_addr).expect("connect tcp");
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon exits");
+    daemon.join();
 }

@@ -3,24 +3,11 @@
 //! error taxonomy, and cache sharing across connections.
 
 use parchmint_harness::{run_suite, SuiteRunConfig};
-use parchmint_serve::{serve, submit_suite, Client, ServeConfig, Service};
+use parchmint_integration_tests::Daemon;
+use parchmint_serve::{submit_suite, Client, ServeConfig};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// Binds an ephemeral port, runs the daemon on a background thread,
-/// and returns the address to dial. The thread exits once a client
-/// sends `shutdown`.
-fn start_daemon(config: ServeConfig) -> (String, JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || {
-        serve(Arc::new(Service::new(config)), Some(listener), None).expect("daemon runs");
-    });
-    (addr, handle)
-}
+use std::net::TcpStream;
 
 fn two_workers() -> ServeConfig {
     ServeConfig::builder().workers(2).build()
@@ -28,7 +15,8 @@ fn two_workers() -> ServeConfig {
 
 #[test]
 fn served_report_matches_the_in_process_sweep() {
-    let (addr, handle) = start_daemon(two_workers());
+    let daemon = Daemon::start(two_workers());
+    let addr = &daemon.addr;
     let benchmarks: Vec<String> = ["logic_gate_and", "logic_gate_or"]
         .iter()
         .map(|s| s.to_string())
@@ -38,7 +26,7 @@ fn served_report_matches_the_in_process_sweep() {
         .map(|s| s.to_string())
         .collect();
 
-    let mut client = Client::connect(&addr).expect("connect");
+    let mut client = Client::connect(addr).expect("connect");
     let served = submit_suite(&mut client, Some(&benchmarks), Some(&stages), 4).expect("served");
 
     let local = run_suite(
@@ -57,13 +45,14 @@ fn served_report_matches_the_in_process_sweep() {
     assert_eq!(served.busy_retries, 0);
 
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon thread exits");
+    daemon.join();
 }
 
 #[test]
 fn pipelined_submissions_all_complete() {
-    let (addr, handle) = start_daemon(two_workers());
-    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let daemon = Daemon::start(two_workers());
+    let addr = &daemon.addr;
+    let mut stream = TcpStream::connect(addr).expect("connect");
     const REQUESTS: usize = 16;
     for i in 0..REQUESTS {
         let line = format!(
@@ -90,19 +79,14 @@ fn pipelined_submissions_all_complete() {
         }
     }
 
-    let mut client = Client::connect(&addr).expect("second connection");
-    // The final `done` hits the socket just before the worker bumps the
-    // completed counter, so poll briefly for quiescence.
-    let stats = (0..100)
-        .find_map(|_| {
-            let stats = client.stats().expect("stats");
-            if stats["requests"]["completed"].as_u64() == Some(REQUESTS as u64) {
-                return Some(stats);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            None
-        })
-        .expect("all requests counted completed within 1s");
+    // Each request is counted completed before its `done` is sent.
+    let mut client = Client::connect(addr).expect("second connection");
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        stats["requests"]["completed"].as_u64(),
+        Some(REQUESTS as u64)
+    );
+    assert_eq!(stats["requests"]["in_flight"].as_u64(), Some(0));
     assert_eq!(stats["requests"]["submitted"].as_u64(), Some(16));
     assert_eq!(stats["requests"]["rejected"].as_u64(), Some(0));
     assert_eq!(
@@ -112,13 +96,14 @@ fn pipelined_submissions_all_complete() {
     );
 
     client.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon thread exits");
+    daemon.join();
 }
 
 #[test]
 fn wire_errors_follow_the_taxonomy() {
-    let (addr, handle) = start_daemon(two_workers());
-    let stream = TcpStream::connect(&addr).expect("connect");
+    let daemon = Daemon::start(two_workers());
+    let addr = &daemon.addr;
+    let stream = TcpStream::connect(addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
     let mut roundtrip = |request: &str| -> Value {
@@ -156,21 +141,22 @@ fn wire_errors_follow_the_taxonomy() {
 
     let ack = roundtrip(r#"{"op":"shutdown","id":"s"}"#);
     assert_eq!(ack["event"].as_str(), Some("shutting_down"));
-    handle.join().expect("daemon drains and exits");
+    daemon.join();
 }
 
 #[test]
 fn cache_is_shared_across_connections() {
-    let (addr, handle) = start_daemon(two_workers());
+    let daemon = Daemon::start(two_workers());
+    let addr = &daemon.addr;
     let stages: Vec<String> = vec!["validate".to_string()];
     let benchmarks: Vec<String> = vec!["rotary_pump_mixer".to_string()];
 
-    let mut first = Client::connect(&addr).expect("connect");
+    let mut first = Client::connect(addr).expect("connect");
     let warm = submit_suite(&mut first, Some(&benchmarks), Some(&stages), 4).expect("warm");
     assert_eq!(warm.cached_cells, 0, "cold cache");
     drop(first);
 
-    let mut second = Client::connect(&addr).expect("reconnect");
+    let mut second = Client::connect(addr).expect("reconnect");
     let replay = submit_suite(&mut second, Some(&benchmarks), Some(&stages), 4).expect("replay");
     assert_eq!(replay.cached_cells, 1, "served from the first run's work");
     assert_eq!(replay.cached_compiles, 1);
@@ -180,5 +166,5 @@ fn cache_is_shared_across_connections() {
     );
 
     second.shutdown().expect("shutdown ack");
-    handle.join().expect("daemon thread exits");
+    daemon.join();
 }
