@@ -429,22 +429,28 @@ fn cmd_suite_run(args: &[String]) -> Result<(), String> {
         return verify_faulted_sweep(&report, plan);
     }
 
-    if !report.is_clean() {
-        let counts = report.counts();
-        for cell in report.failing_cells() {
-            eprintln!(
-                "failing cell {}: {} — {}",
-                cell.key(),
-                cell.status.as_str(),
-                cell.detail.as_deref().unwrap_or("no detail recorded"),
-            );
-        }
-        return Err(format!(
-            "suite-run: {} error and {} failed cell(s) — see list above",
-            counts.error, counts.failed
-        ));
+    check_clean("suite-run", &report)
+}
+
+/// Lists `report`'s error and failed cells on stderr and fails `command`
+/// when there are any.
+fn check_clean(command: &str, report: &parchmint_harness::SuiteReport) -> Result<(), String> {
+    if report.is_clean() {
+        return Ok(());
     }
-    Ok(())
+    for cell in report.failing_cells() {
+        eprintln!(
+            "failing cell {}: {} — {}",
+            cell.key(),
+            cell.status.as_str(),
+            cell.detail.as_deref().unwrap_or("no detail recorded"),
+        );
+    }
+    let counts = report.counts();
+    Err(format!(
+        "{command}: {} error and {} failed cell(s) — see list above",
+        counts.error, counts.failed
+    ))
 }
 
 /// Success criteria for `suite-run --faults`: the full benchmark×stage
@@ -796,22 +802,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         println!("daemon shutdown acknowledged");
     }
 
-    if !report.is_clean() {
-        let counts = report.counts();
-        for cell in report.failing_cells() {
-            eprintln!(
-                "failing cell {}: {} — {}",
-                cell.key(),
-                cell.status.as_str(),
-                cell.detail.as_deref().unwrap_or("no detail recorded"),
-            );
-        }
-        return Err(format!(
-            "submit: {} error and {} failed cell(s) — see list above",
-            counts.error, counts.failed
-        ));
-    }
-    Ok(())
+    check_clean("submit", report)
 }
 
 /// Runs the deterministic wire-fault proxy in the foreground until the

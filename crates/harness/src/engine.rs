@@ -19,13 +19,11 @@
 //!   never re-derive attempt counters or seed bumps; the policy is the
 //!   single owner of that schedule.
 
-use crate::report::CellStatus;
+use crate::report::{CellStatus, StageExec};
 use crate::stage::{Stage, StageCtx, StageOutcome};
 use parchmint::{CompiledDevice, Device};
 use parchmint_obs::{Collector, Recorder, TraceSummary};
 use parchmint_resilience::{Budget, FaultPlan, Severity};
-use serde_json::Value;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -105,21 +103,6 @@ impl ExecPolicy {
     }
 }
 
-/// The terminal state of one stage execution (after all retries).
-#[derive(Debug, Clone)]
-pub struct StageExec {
-    /// How the stage ended, severity-mapped exactly as harness cells are.
-    pub status: CellStatus,
-    /// Skip reason, degradation note, error message, or panic message.
-    pub detail: Option<String>,
-    /// Stage metrics of the produced result.
-    pub metrics: BTreeMap<String, Value>,
-    /// Events recorded during the final attempt; `None` unless tracing.
-    pub trace: Option<TraceSummary>,
-    /// How many attempts actually ran (1 unless retryable errors occurred).
-    pub attempts: u32,
-}
-
 /// The outcome of generating + compiling one device.
 pub struct CompileExec {
     /// The shared compiled view, or the panic message when generation or
@@ -176,6 +159,12 @@ pub fn compile_device(
         wall: started.elapsed(),
         trace,
     }
+}
+
+/// The outcome of every stage of a device whose generation or compile
+/// panicked with `message`, worded once for the sweep and the daemon.
+pub fn generation_panicked(message: &str) -> StageExec {
+    StageExec::failed(format!("device generation panicked: {message}"))
 }
 
 /// Executes one stage on one compiled device under `policy`, driving the
@@ -270,6 +259,7 @@ pub fn execute_stage(
 mod tests {
     use super::*;
     use parchmint_resilience::PipelineError;
+    use serde_json::Value;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn compiled_fixture() -> Arc<CompiledDevice> {

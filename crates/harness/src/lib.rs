@@ -57,13 +57,15 @@ pub mod runner;
 pub mod stage;
 
 pub use batch::shard_map;
-pub use engine::{compile_device, execute_stage, CompileExec, ExecPolicy, StageExec};
+pub use engine::{compile_device, execute_stage, CompileExec, ExecPolicy};
 pub use matrix::{resolve_matrix, select_benchmarks, select_stages, stage_matches, ResolvedMatrix};
 pub use pareto::{pareto_json, pareto_json_string, pareto_rows, ParetoPoint, ParetoRow};
 pub use quality::{
     compare_quality, quality_baseline_json, quality_baseline_string, report_diff,
     QualityRegression, QUALITY_SCHEMA,
 };
-pub use report::{Cell, CellStatus, StatusCounts, SuiteReport};
+pub use report::{
+    read_outcome, write_outcome, Cell, CellStatus, StageExec, StatusCounts, SuiteReport,
+};
 pub use runner::{run_matrix, run_suite, SuiteRunConfig, SuiteRunConfigBuilder, MAX_ATTEMPTS};
 pub use stage::{standard_stages, Stage, StageCtx, StageOutcome};

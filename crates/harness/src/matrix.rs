@@ -3,14 +3,14 @@
 //! `suite-run` and the `parchmint submit` client resolve their benchmark
 //! and stage names through this one resolver, so a typo behaves the same
 //! in both: it becomes a visible `failed` cell, never a silently shrunk
-//! sweep. The `parchmint serve` daemon selects stages itself
-//! (`Service::select_stages`) and shares only [`stage_matches`], so a
-//! selector names the same stages there, and an unknown one also ends as
-//! a `failed` cell.
+//! sweep. The `parchmint serve` daemon selects a submission's stages from
+//! its own matrix with the same [`select_stages`], so a selector names the
+//! same stages there, and an unknown one also ends as a `failed` cell.
 
-use crate::report::{Cell, CellStatus};
+use crate::report::{Cell, StageExec};
 use crate::stage::{standard_stages, Stage};
 use parchmint_suite::Benchmark;
+use std::borrow::Borrow;
 use std::time::Duration;
 
 /// Whether `selector` selects the stage named `stage_name`.
@@ -33,32 +33,28 @@ pub struct ResolvedMatrix {
 }
 
 fn unknown_cell(benchmark: &str, stage: &str, detail: String) -> Cell {
-    Cell {
-        benchmark: benchmark.to_string(),
-        stage: stage.to_string(),
-        status: CellStatus::Failed,
-        detail: Some(detail),
-        metrics: Default::default(),
-        wall: Duration::ZERO,
-        trace: None,
-    }
+    Cell::new(benchmark, stage, StageExec::failed(detail), Duration::ZERO)
 }
 
-/// Resolves the standard stage matrix down to `selectors`, returning the
-/// kept stages plus the selectors that matched nothing.
-pub fn select_stages(selectors: Option<&[String]>) -> (Vec<Stage>, Vec<String>) {
-    let mut stages = standard_stages();
-    let Some(wanted) = selectors else {
-        return (stages, Vec::new());
+/// Resolves `stages`, owned or borrowed, down to `selectors` (`None`
+/// keeps them all), returning the kept stages in their order plus the
+/// selectors that matched none of them.
+pub fn select_stages<S: Borrow<Stage>>(
+    stages: impl IntoIterator<Item = S>,
+    selectors: Option<&[String]>,
+) -> (Vec<S>, Vec<String>) {
+    let Some(selectors) = selectors else {
+        return (stages.into_iter().collect(), Vec::new());
     };
-    let known: Vec<String> = stages.iter().map(|s| s.name.clone()).collect();
-    let unknown: Vec<String> = wanted
-        .iter()
-        .filter(|name| !known.iter().any(|k| stage_matches(name, k)))
+    let picks = |selector: &String, stage: &S| stage_matches(selector, &stage.borrow().name);
+    let selected: Vec<S> = (stages.into_iter())
+        .filter(|stage| selectors.iter().any(|s| picks(s, stage)))
+        .collect();
+    let unknown = (selectors.iter())
+        .filter(|s| !selected.iter().any(|stage| picks(s, stage)))
         .cloned()
         .collect();
-    stages.retain(|s| wanted.iter().any(|w| stage_matches(w, &s.name)));
-    (stages, unknown)
+    (selected, unknown)
 }
 
 /// Resolves benchmark names with [`parchmint_suite::by_name`], so the FPVA
@@ -83,7 +79,7 @@ pub fn select_benchmarks(names: Option<&[String]>) -> (Vec<Benchmark>, Vec<Strin
 /// matrix, with unknown names recorded as `failed` cells.
 pub fn resolve_matrix(benchmarks: Option<&[String]>, stages: Option<&[String]>) -> ResolvedMatrix {
     let (benchmarks, bad_benchmarks) = select_benchmarks(benchmarks);
-    let (stages, bad_stages) = select_stages(stages);
+    let (stages, bad_stages) = select_stages(standard_stages(), stages);
     let mut bad_cells = Vec::new();
     for name in bad_benchmarks {
         bad_cells.push(unknown_cell(
@@ -105,6 +101,7 @@ pub fn resolve_matrix(benchmarks: Option<&[String]>, stages: Option<&[String]>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::CellStatus;
 
     #[test]
     fn pnr_shorthand_expands() {
@@ -112,7 +109,7 @@ mod tests {
         assert!(stage_matches("validate", "validate"));
         assert!(!stage_matches("pnr", "validate"));
         assert!(!stage_matches("validate", "pnr:greedy+astar"));
-        let (stages, unknown) = select_stages(Some(&["pnr".to_string()]));
+        let (stages, unknown) = select_stages(standard_stages(), Some(&["pnr".to_string()]));
         assert!(unknown.is_empty());
         assert_eq!(stages.len(), 6);
         assert!(stages.iter().all(|s| s.name.starts_with("pnr:")));

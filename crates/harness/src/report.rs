@@ -1,4 +1,7 @@
-//! Structured suite-run results and their JSON / table renderings.
+//! Structured suite-run results and their JSON / table renderings, and
+//! the stage-cell codec: the one writer and the one reader of a cell's
+//! outcome members, which the suite report, the daemon's wire events and
+//! its spill files share, and the one constructor of a `failed` outcome.
 
 use parchmint_obs::TraceSummary;
 use serde_json::{Map, Value};
@@ -49,6 +52,87 @@ impl CellStatus {
     }
 }
 
+/// The terminal state of one stage execution (after all retries): the
+/// outcome a cell reports, plus the run's trace and attempt count.
+#[derive(Debug, Clone)]
+pub struct StageExec {
+    /// How the stage ended, severity-mapped exactly as harness cells are.
+    pub status: CellStatus,
+    /// Skip reason, degradation note, error message, or panic message.
+    pub detail: Option<String>,
+    /// Stage metrics of the produced result.
+    pub metrics: BTreeMap<String, Value>,
+    /// Events recorded during the final attempt; `None` unless tracing.
+    pub trace: Option<TraceSummary>,
+    /// How many attempts actually ran (1 unless retryable errors occurred).
+    pub attempts: u32,
+}
+
+impl StageExec {
+    /// A `failed` outcome explained by `detail`, with no metrics: every
+    /// cell that fails without running its stage (an unknown name, a
+    /// panicked compile) is built here.
+    pub fn failed(detail: impl Into<String>) -> StageExec {
+        StageExec {
+            status: CellStatus::Failed,
+            detail: Some(detail.into()),
+            metrics: BTreeMap::new(),
+            trace: None,
+            attempts: 1,
+        }
+    }
+}
+
+/// Writes a cell's outcome members into a new object: `status`, plus
+/// `detail` and `metrics` when present. The suite report, the daemon's
+/// `cell` event and the spill file all write cells through this, so they
+/// share one shape; [`read_outcome`] reads it back.
+pub fn write_outcome(
+    status: CellStatus,
+    detail: Option<&str>,
+    metrics: &BTreeMap<String, Value>,
+) -> Map {
+    let mut object = Map::new();
+    object.insert("status".to_string(), Value::from(status.as_str()));
+    if let Some(detail) = detail {
+        object.insert("detail".to_string(), Value::from(detail));
+    }
+    if !metrics.is_empty() {
+        let metrics = metrics.iter().map(|(k, v)| (k.clone(), v.clone()));
+        object.insert("metrics".to_string(), Value::Object(metrics.collect()));
+    }
+    object
+}
+
+/// Reads the outcome members [`write_outcome`] writes, as one attempt
+/// with no trace. Refuses a missing or unknown `status`, a non-string
+/// `detail` and a non-object `metrics`.
+pub fn read_outcome(object: &Map) -> Result<StageExec, String> {
+    let status = (object.get("status").and_then(Value::as_str))
+        .and_then(CellStatus::parse)
+        .ok_or("`status` must name a cell status")?;
+    let detail = match object.get("detail") {
+        None => None,
+        Some(Value::String(detail)) => Some(detail.clone()),
+        Some(_) => return Err("`detail` must be a string".to_string()),
+    };
+    let metrics = match object.get("metrics") {
+        None => BTreeMap::new(),
+        Some(Value::Object(metrics)) => metrics
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect(),
+        Some(_) => return Err("`metrics` must be an object".to_string()),
+    };
+    Ok(StageExec {
+        status,
+        detail,
+        metrics,
+        trace: None,
+        attempts: 1,
+    })
+}
+
 /// Per-status cell totals for one sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatusCounts {
@@ -86,6 +170,24 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// The cell of `benchmark` × `stage` that ended as `exec` after `wall`.
+    pub fn new(
+        benchmark: impl Into<String>,
+        stage: impl Into<String>,
+        exec: StageExec,
+        wall: Duration,
+    ) -> Cell {
+        Cell {
+            benchmark: benchmark.into(),
+            stage: stage.into(),
+            status: exec.status,
+            detail: exec.detail,
+            metrics: exec.metrics,
+            wall,
+            trace: exec.trace,
+        }
+    }
+
     /// `benchmark/stage` — the key used in the `timing` section.
     pub fn key(&self) -> String {
         format!("{}/{}", self.benchmark, self.stage)
@@ -197,21 +299,9 @@ impl SuiteReport {
             .cells
             .iter()
             .map(|cell| {
-                let mut entry = Map::new();
+                let mut entry = write_outcome(cell.status, cell.detail.as_deref(), &cell.metrics);
                 entry.insert("benchmark".to_string(), Value::from(cell.benchmark.clone()));
                 entry.insert("stage".to_string(), Value::from(cell.stage.clone()));
-                entry.insert("status".to_string(), Value::from(cell.status.as_str()));
-                if let Some(detail) = &cell.detail {
-                    entry.insert("detail".to_string(), Value::from(detail.clone()));
-                }
-                if !cell.metrics.is_empty() {
-                    let metrics: Map = cell
-                        .metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    entry.insert("metrics".to_string(), Value::Object(metrics));
-                }
                 Value::Object(entry)
             })
             .collect();

@@ -10,7 +10,7 @@
 use crate::batch::shard_map;
 use crate::engine::{self, CompileExec, ExecPolicy};
 use crate::matrix;
-use crate::report::{Cell, CellStatus, SuiteReport};
+use crate::report::{Cell, SuiteReport};
 use crate::stage::Stage;
 use parchmint_resilience::FaultPlan;
 use parchmint_suite::Benchmark;
@@ -295,32 +295,17 @@ impl Row {
     /// Runs one stage on the row's device. Budgets, retries, panic
     /// isolation and the status mapping all live in the engine.
     fn run(&self, stage: &Stage, policy: &ExecPolicy, tracing: bool) -> Cell {
-        let (status, detail, metrics, wall, trace) = match &self.compile.compiled {
+        let (exec, wall) = match &self.compile.compiled {
             Ok(compiled) => {
                 let started = Instant::now();
                 let exec =
                     engine::execute_stage(stage, compiled, policy, self.faults.as_ref(), tracing);
-                let wall = started.elapsed();
-                (exec.status, exec.detail, exec.metrics, wall, exec.trace)
+                (exec, started.elapsed())
             }
             // Generator panicked: every cell of this row fails, explained.
-            Err(message) => (
-                CellStatus::Failed,
-                Some(format!("device generation panicked: {message}")),
-                Default::default(),
-                self.compile.wall,
-                None,
-            ),
+            Err(message) => (engine::generation_panicked(message), self.compile.wall),
         };
-        Cell {
-            benchmark: self.name.clone(),
-            stage: stage.name.clone(),
-            status,
-            detail,
-            metrics,
-            wall,
-            trace,
-        }
+        Cell::new(&self.name, &stage.name, exec, wall)
     }
 }
 
@@ -357,6 +342,7 @@ fn quietly<T>(body: impl FnOnce() -> T) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::CellStatus;
     use crate::stage::{standard_stages, Stage, StageOutcome};
     use parchmint_resilience::{FaultKind, FaultSpec, PipelineError};
     use serde_json::Value;

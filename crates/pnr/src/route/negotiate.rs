@@ -46,55 +46,34 @@ use parchmint::geometry::Point;
 use parchmint::{CompiledDevice, ConnectionId};
 use parchmint_resilience::Meter;
 
-/// Tuning knobs for [`NegotiatedRouter`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NegotiatedRouterConfig {
-    /// Routing-grid cell size, in µm.
-    pub cell: i64,
-    /// Clearance kept around component footprints, in µm.
-    pub clearance: i64,
-    /// Cost of one cell step (scaled integers).
-    pub step_cost: u32,
-    /// Extra cost per 90° bend.
-    pub bend_penalty: u32,
-    /// Maximum rip-up-and-reroute iterations before hardening.
-    pub max_iterations: u32,
-    /// First-iteration cost per foreign occupant of a shared cell; doubles
-    /// every iteration (capped) so sharing is cheap early and prohibitive
-    /// late — the classic PathFinder schedule.
-    pub present_cost: u32,
-    /// Permanent cost added to every overused cell after each iteration.
-    pub history_cost: u32,
-    /// Bounding-box margin around each net's terminals, in cells; the
-    /// search widens to the whole grid only if the bounded pass fails.
-    pub bbox_margin: i64,
-}
-
-impl Default for NegotiatedRouterConfig {
-    fn default() -> Self {
-        NegotiatedRouterConfig {
-            cell: 200,
-            clearance: 100,
-            step_cost: 10,
-            bend_penalty: 30,
-            max_iterations: 20,
-            present_cost: 20,
-            history_cost: 15,
-            bbox_margin: 8,
-        }
-    }
-}
+/// Routing-grid cell size, in µm.
+const CELL: i64 = 200;
+/// Clearance kept around component footprints, in µm.
+const CLEARANCE: i64 = 100;
+/// Cost of one cell step (scaled integers).
+const STEP_COST: u32 = 10;
+/// Extra cost per 90° bend.
+const BEND_PENALTY: u32 = 30;
+/// Maximum rip-up-and-reroute iterations before hardening.
+const MAX_ITERATIONS: u32 = 20;
+/// First-iteration cost per foreign occupant of a shared cell; doubles
+/// every iteration (capped) so sharing is cheap early and prohibitive
+/// late — the classic PathFinder schedule.
+const PRESENT_COST: u32 = 20;
+/// Permanent cost added to every overused cell after each iteration.
+const HISTORY_COST: u32 = 15;
+/// Bounding-box margin around each net's terminals, in cells; the
+/// search widens to the whole grid only if the bounded pass fails.
+const BBOX_MARGIN: i64 = 8;
 
 /// PathFinder-style negotiated-congestion router.
 #[derive(Debug, Clone, Default)]
-pub struct NegotiatedRouter {
-    config: NegotiatedRouterConfig,
-}
+pub struct NegotiatedRouter;
 
 impl NegotiatedRouter {
-    /// Creates a router with default tuning.
+    /// Creates the router.
     pub fn new() -> Self {
-        NegotiatedRouter::default()
+        NegotiatedRouter
     }
 }
 
@@ -120,7 +99,6 @@ struct NetState {
 
 struct Negotiation<'a> {
     grid: &'a RoutingGrid,
-    config: &'a NegotiatedRouterConfig,
     /// Number of nets currently claiming each cell.
     occupancy: Vec<u32>,
     /// Accumulated per-cell history cost across iterations.
@@ -162,7 +140,7 @@ impl Negotiation<'_> {
             self.free.insert(c);
         }
 
-        let (grid, step, bend) = (self.grid, self.config.step_cost, self.config.bend_penalty);
+        let (grid, step, bend) = (self.grid, STEP_COST, BEND_PENALTY);
         let mut branches = Vec::with_capacity(net.sinks.len());
         let mut cells: Vec<usize> = Vec::new();
         for (sink, &sink_cell) in net.sinks.iter().zip(&net.sink_cells) {
@@ -198,12 +176,11 @@ impl Negotiation<'_> {
     }
 
     fn window_for(&self, a: (i64, i64), b: (i64, i64)) -> Window {
-        let margin = self.config.bbox_margin;
         (
-            a.0.min(b.0) - margin,
-            a.1.min(b.1) - margin,
-            a.0.max(b.0) + margin,
-            a.1.max(b.1) + margin,
+            a.0.min(b.0) - BBOX_MARGIN,
+            a.1.min(b.1) - BBOX_MARGIN,
+            a.0.max(b.0) + BBOX_MARGIN,
+            a.1.max(b.1) + BBOX_MARGIN,
         )
     }
 
@@ -246,7 +223,7 @@ impl Router for NegotiatedRouter {
     fn route(&self, compiled: &CompiledDevice) -> RoutingResult {
         parchmint_resilience::fault::inject("pnr.route");
         let device = compiled.device();
-        let grid = RoutingGrid::from_device(device, self.config.cell, self.config.clearance);
+        let grid = RoutingGrid::from_device(device, CELL, CLEARANCE);
         let n_cells = grid.blocked.len();
 
         // Per-net state; nets with unplaced terminals fail up front.
@@ -298,7 +275,6 @@ impl Router for NegotiatedRouter {
 
         let mut negotiation = Negotiation {
             grid: &grid,
-            config: &self.config,
             occupancy: vec![0; n_cells],
             history: vec![0; n_cells],
             pres_fac: 0,
@@ -310,16 +286,14 @@ impl Router for NegotiatedRouter {
         let tracing = parchmint_obs::enabled();
 
         let mut iterations = 0u64;
-        for iteration in 0..self.config.max_iterations {
+        for iteration in 0..MAX_ITERATIONS {
             if meter.check().is_err() {
                 break;
             }
             iterations = u64::from(iteration) + 1;
             // The present-sharing penalty doubles each iteration, capped so
             // the saturating cost arithmetic stays far from overflow.
-            negotiation.pres_fac = self
-                .config
-                .present_cost
+            negotiation.pres_fac = PRESENT_COST
                 .saturating_mul(1u32 << iteration.min(16))
                 .min(1 << 20);
             // Reprice every cell for the new penalty and last iteration's
@@ -344,8 +318,7 @@ impl Router for NegotiatedRouter {
                 break;
             }
             for &c in &overused {
-                negotiation.history[c] =
-                    negotiation.history[c].saturating_add(self.config.history_cost);
+                negotiation.history[c] = negotiation.history[c].saturating_add(HISTORY_COST);
             }
         }
 
@@ -478,9 +451,8 @@ mod tests {
     fn result_is_cell_disjoint_outside_escape_zones() {
         let d = placed("logic_gate_and");
         let compiled = CompiledDevice::from_ref(&d);
-        let config = NegotiatedRouterConfig::default();
         let result = NegotiatedRouter::new().route(&compiled);
-        let grid = RoutingGrid::from_device(&d, config.cell, config.clearance);
+        let grid = RoutingGrid::from_device(&d, CELL, CLEARANCE);
 
         // Rebuild each net's claimed cells the way the router charges them:
         // rasterize branch segments, drop cells inside the net's own

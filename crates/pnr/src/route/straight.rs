@@ -11,29 +11,17 @@ use super::{RoutedNet, Router, RoutingResult};
 use parchmint::geometry::{Point, Rect, Span};
 use parchmint::CompiledDevice;
 
-/// Tuning knobs for [`StraightRouter`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StraightRouterConfig {
-    /// Clearance kept around foreign component footprints, in µm.
-    pub clearance: i64,
-}
-
-impl Default for StraightRouterConfig {
-    fn default() -> Self {
-        StraightRouterConfig { clearance: 100 }
-    }
-}
+/// Clearance kept around foreign component footprints, in µm.
+const CLEARANCE: i64 = 100;
 
 /// The L-path baseline router.
 #[derive(Debug, Clone, Default)]
-pub struct StraightRouter {
-    config: StraightRouterConfig,
-}
+pub struct StraightRouter;
 
 impl StraightRouter {
-    /// Creates a router with default tuning.
+    /// Creates the router.
     pub fn new() -> Self {
-        StraightRouter::default()
+        StraightRouter
     }
 }
 
@@ -69,12 +57,7 @@ impl Router for StraightRouter {
             .features
             .iter()
             .filter_map(|f| f.as_component())
-            .map(|f| {
-                (
-                    f.component.clone(),
-                    f.footprint().inflated(self.config.clearance),
-                )
-            })
+            .map(|f| (f.component.clone(), f.footprint().inflated(CLEARANCE)))
             .collect();
         let mut accepted_segments: Vec<(Point, Point)> = Vec::new();
 

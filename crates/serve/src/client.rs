@@ -35,7 +35,7 @@
 //! `suite-run` report.
 
 use crate::protocol;
-use parchmint_harness::{resolve_matrix, Cell, CellStatus, SuiteReport};
+use parchmint_harness::{read_outcome, resolve_matrix, Cell, SuiteReport};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -677,26 +677,20 @@ fn parse_id(id: &str) -> Option<usize> {
     id.strip_prefix('d')?.parse().ok()
 }
 
+/// Reads a `cell` event's cell; its outcome members are held to the
+/// rules [`read_outcome`] applies to a spill file.
 fn parse_cell(event: &Value) -> Result<Cell, ClientError> {
+    let bad = |why: String| ClientError::Protocol(format!("bad cell event ({why}): {event}"));
     let cell = &event["cell"];
-    let status = cell["status"]
-        .as_str()
-        .and_then(CellStatus::parse)
-        .ok_or_else(|| ClientError::Protocol(format!("cell event with bad status: {event}")))?;
-    let metrics: BTreeMap<String, Value> = cell["metrics"]
-        .as_object()
-        .map(|object| object.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-        .unwrap_or_default();
+    let outcome = cell.as_object().ok_or_else(|| bad("no cell".into()))?;
+    let exec = read_outcome(outcome).map_err(bad)?;
     let wall_ms = event["wall_ms"].as_f64().unwrap_or(0.0);
-    Ok(Cell {
-        benchmark: cell["benchmark"].as_str().unwrap_or_default().to_string(),
-        stage: cell["stage"].as_str().unwrap_or_default().to_string(),
-        status,
-        detail: cell["detail"].as_str().map(str::to_string),
-        metrics,
-        wall: Duration::from_secs_f64(wall_ms.max(0.0) / 1e3),
-        trace: None,
-    })
+    Ok(Cell::new(
+        cell["benchmark"].as_str().unwrap_or_default(),
+        cell["stage"].as_str().unwrap_or_default(),
+        exec,
+        Duration::from_secs_f64(wall_ms.max(0.0) / 1e3),
+    ))
 }
 
 #[cfg(test)]
@@ -723,6 +717,36 @@ mod tests {
             a.next_delay() <= Duration::from_millis(30),
             "reset returns to base"
         );
+    }
+
+    #[test]
+    fn malformed_cell_members_desynchronize_the_stream() {
+        // The same outcome rules a spill file is held to: a member of
+        // the wrong type is a protocol fault, never silently dropped.
+        let event = |cell: &str| -> Value {
+            let line = format!(r#"{{"event":"cell","id":"d0","cell":{cell},"wall_ms":1.5}}"#);
+            serde_json::from_str(&line).unwrap()
+        };
+        let good = parse_cell(&event(
+            r#"{"benchmark":"b","stage":"s","status":"ok","detail":"d","metrics":{"m":1}}"#,
+        ))
+        .expect("a well-formed cell parses");
+        assert_eq!((good.benchmark.as_str(), good.stage.as_str()), ("b", "s"));
+        assert_eq!(good.detail.as_deref(), Some("d"));
+        assert_eq!(good.metrics["m"], Value::from(1));
+        for cell in [
+            r#"{"benchmark":"b","stage":"s","status":"ok","detail":7}"#,
+            r#"{"benchmark":"b","stage":"s","status":"ok","metrics":[1]}"#,
+            r#"{"benchmark":"b","stage":"s","status":"fine"}"#,
+            r#"{"benchmark":"b","stage":"s"}"#,
+            r#""ok""#,
+        ] {
+            let error = parse_cell(&event(cell)).err();
+            assert!(
+                matches!(error, Some(ClientError::Protocol(_))),
+                "{cell}: {error:?}"
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! other field is interpreted.
 
 use crate::hash;
+use parchmint_harness::{write_outcome, CellStatus};
 use serde_json::{Event, EventReader, Map, Value};
 
 /// The wire-protocol version this daemon speaks.
@@ -398,7 +399,13 @@ pub fn error_event(id: &Value, error: &WireError) -> Value {
     Value::Object(object)
 }
 
-/// A `cell` event: one stage finished (or was served from cache).
+/// A `cell` event: one stage finished (or was served from cache). The
+/// `cell` member has a suite report cell's shape, written by the same
+/// [`write_outcome`].
+///
+/// # Panics
+///
+/// If `status` is not a [`CellStatus`] name.
 #[allow(clippy::too_many_arguments)] // mirrors the cell schema field-for-field
 pub fn cell_event(
     id: &Value,
@@ -410,20 +417,11 @@ pub fn cell_event(
     wall_ms: f64,
     cached: bool,
 ) -> Value {
-    let mut cell = Map::new();
+    let status =
+        CellStatus::parse(status).unwrap_or_else(|| panic!("`{status}` is not a cell status"));
+    let mut cell = write_outcome(status, detail, metrics);
     cell.insert("benchmark".to_string(), Value::from(benchmark));
     cell.insert("stage".to_string(), Value::from(stage));
-    cell.insert("status".to_string(), Value::from(status));
-    if let Some(detail) = detail {
-        cell.insert("detail".to_string(), Value::from(detail));
-    }
-    if !metrics.is_empty() {
-        let metrics: Map = metrics
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        cell.insert("metrics".to_string(), Value::Object(metrics));
-    }
     let mut object = event(id, "cell");
     object.insert("cell".to_string(), Value::Object(cell));
     object.insert("wall_ms".to_string(), Value::from(wall_ms));

@@ -44,7 +44,7 @@ use crate::protocol::{
     PROTO_MAJOR,
 };
 use parchmint::{CompiledDevice, Device};
-use parchmint_harness::{engine, stage_matches, standard_stages, ExecPolicy, Stage, StageExec};
+use parchmint_harness::{engine, select_stages, standard_stages, ExecPolicy, Stage, StageExec};
 use parchmint_obs::{Collector, Event, EventKind, Recorder};
 use parchmint_resilience::FaultPlan;
 use serde_json::{json, Map, Value};
@@ -483,30 +483,6 @@ impl Service {
         (!plan.is_empty()).then(|| Arc::new(plan))
     }
 
-    /// Selects the stages a submission asked for, in matrix order, plus
-    /// any selectors that matched nothing.
-    fn select_stages(&self, selectors: Option<&[String]>) -> (Vec<&Stage>, Vec<String>) {
-        let Some(selectors) = selectors else {
-            return (self.stages.iter().collect(), Vec::new());
-        };
-        let selected: Vec<&Stage> = self
-            .stages
-            .iter()
-            .filter(|stage| selectors.iter().any(|s| stage_matches(s, &stage.name)))
-            .collect();
-        let unknown = selectors
-            .iter()
-            .filter(|s| {
-                !self
-                    .stages
-                    .iter()
-                    .any(|stage| stage_matches(s, &stage.name))
-            })
-            .cloned()
-            .collect();
-        (selected, unknown)
-    }
-
     /// Runs one submission to completion, streaming `cell` events and a
     /// final `done` (or a single `error`) through `emit`.
     ///
@@ -547,7 +523,7 @@ impl Service {
         }
         let faults = device.as_ref().and_then(|d| self.faults_for(&d.name));
         let cacheable = !policy.is_bounded() && faults.is_none();
-        let (selected, unknown) = self.select_stages(request.stages.as_deref());
+        let (selected, unknown) = select_stages(&self.stages, request.stages.as_deref());
 
         // Compile: shared from the cache / an in-flight duplicate when
         // possible, fresh otherwise.
@@ -564,78 +540,62 @@ impl Service {
                 CompileOutcome::Panicked(design, panic) => (design, Err(panic)),
             };
 
-        let mut cells = 0usize;
-        for selector in &unknown {
-            cells += 1;
-            emit(cell_event(
-                &request.id,
-                &design,
-                selector,
-                "failed",
-                Some(&format!("unknown stage `{selector}`")),
-                &Default::default(),
-                0.0,
-                false,
-            ));
-        }
-
-        let (entry, compile_wall, cacheable) = match compiled {
-            Ok(compiled) => compiled,
-            Err(panic) => {
-                // Generation/compilation panicked: every selected stage
-                // is a failed cell, exactly as the harness reports it.
-                for stage in &selected {
-                    cells += 1;
-                    emit(cell_event(
-                        &request.id,
-                        &design,
-                        &stage.name,
-                        "failed",
-                        Some(&format!("compile panicked: {panic}")),
-                        &Default::default(),
-                        0.0,
-                        false,
-                    ));
+        // Unknown selectors fail first; then each selected stage runs, or
+        // fails as the harness fails it when the compile panicked.
+        let unknown_cells = unknown.iter().map(|selector| (selector.as_str(), None));
+        let stage_cells = selected
+            .iter()
+            .map(|stage| (stage.name.as_str(), Some(*stage)));
+        for (name, stage) in unknown_cells.chain(stage_cells) {
+            let (exec, wall_ms, cached) = match (stage, &compiled) {
+                (None, _) => (
+                    StageExec::failed(format!("unknown stage `{name}`")),
+                    0.0,
+                    false,
+                ),
+                (Some(_), Err(panic)) => (engine::generation_panicked(panic), 0.0, false),
+                (Some(stage), Ok((entry, _, cacheable))) => {
+                    let started = Instant::now();
+                    let (exec, cached) =
+                        self.obtain_stage(key, entry, stage, &policy, faults.as_ref(), *cacheable);
+                    parchmint_obs::count(
+                        if cached {
+                            "serve.stage.replayed"
+                        } else {
+                            "serve.stage.executed"
+                        },
+                        1,
+                    );
+                    if *cacheable && !cached {
+                        parchmint_obs::count("cache.stage_misses", 1);
+                    }
+                    (exec, started.elapsed().as_secs_f64() * 1e3, cached)
                 }
-                return done_event(&request.id, &design, &hash::hex(key), false, None, cells);
-            }
-        };
-
-        for stage in &selected {
-            let started = Instant::now();
-            let (exec, cached) =
-                self.obtain_stage(key, &entry, stage, &policy, faults.as_ref(), cacheable);
-            parchmint_obs::count(
-                if cached {
-                    "serve.stage.replayed"
-                } else {
-                    "serve.stage.executed"
-                },
-                1,
-            );
-            if cacheable && !cached {
-                parchmint_obs::count("cache.stage_misses", 1);
-            }
-            cells += 1;
+            };
             emit(cell_event(
                 &request.id,
                 &design,
-                &stage.name,
+                name,
                 exec.status.as_str(),
                 exec.detail.as_deref(),
                 &exec.metrics,
-                started.elapsed().as_secs_f64() * 1e3,
+                wall_ms,
                 cached,
             ));
         }
 
+        let (cached_compile, compile_ms) = match compiled {
+            Ok((_, wall, _)) => (wall.is_none(), wall.map(|wall| wall.as_secs_f64() * 1e3)),
+            // A panicked compile was neither cached nor timed.
+            Err(_) => (false, None),
+        };
         done_event(
             &request.id,
             &design,
             &hash::hex(key),
-            compile_wall.is_none(),
-            compile_wall.map(|wall| wall.as_secs_f64() * 1e3),
-            cells,
+            cached_compile,
+            compile_ms,
+            unknown.len() + selected.len(),
         )
     }
 
@@ -764,13 +724,7 @@ impl Service {
                         // fail the same way, each reporting for itself).
                         Err(panic) => {
                             return (
-                                StageExec {
-                                    status: parchmint_harness::CellStatus::Failed,
-                                    detail: Some(format!("compile panicked: {panic}")),
-                                    metrics: Default::default(),
-                                    trace: None,
-                                    attempts: 1,
-                                },
+                                StageExec::failed(format!("compile panicked: {panic}")),
                                 false,
                             )
                         }

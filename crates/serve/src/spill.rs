@@ -25,7 +25,7 @@
 //!   overwritten by the next store.
 
 use crate::hash;
-use parchmint_harness::{standard_stages, CellStatus, StageExec};
+use parchmint_harness::{read_outcome, standard_stages, write_outcome, StageExec};
 use serde_json::{json, Event, EventReader, Map, Value};
 use std::collections::BTreeMap;
 use std::fs;
@@ -171,19 +171,7 @@ fn encode_entry(
 ) -> String {
     let mut cells = Map::new();
     for (name, exec) in stages {
-        let mut cell = Map::new();
-        cell.insert("status".to_string(), Value::from(exec.status.as_str()));
-        if let Some(detail) = &exec.detail {
-            cell.insert("detail".to_string(), Value::from(detail.clone()));
-        }
-        if !exec.metrics.is_empty() {
-            let metrics: Map = exec
-                .metrics
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            cell.insert("metrics".to_string(), Value::Object(metrics));
-        }
+        let mut cell = write_outcome(exec.status, exec.detail.as_deref(), &exec.metrics);
         cell.insert("attempts".to_string(), Value::from(exec.attempts));
         cells.insert(name.clone(), Value::Object(cell));
     }
@@ -227,30 +215,9 @@ fn decode_entry(text: &str, key_hex: &str) -> Option<SpillEntry> {
     let mut stages = BTreeMap::new();
     for (name, cell) in object.get("stages")?.as_object()? {
         let cell = cell.as_object()?;
-        let status = CellStatus::parse(cell.get("status")?.as_str()?)?;
-        let detail = match cell.get("detail") {
-            None => None,
-            Some(value) => Some(value.as_str()?.to_string()),
-        };
-        let metrics = match cell.get("metrics") {
-            None => BTreeMap::new(),
-            Some(value) => value
-                .as_object()?
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        };
-        let attempts = u32::try_from(cell.get("attempts")?.as_u64()?).ok()?;
-        stages.insert(
-            name.clone(),
-            StageExec {
-                status,
-                detail,
-                metrics,
-                trace: None,
-                attempts,
-            },
-        );
+        let mut exec = read_outcome(cell).ok()?;
+        exec.attempts = u32::try_from(cell.get("attempts")?.as_u64()?).ok()?;
+        stages.insert(name.clone(), exec);
     }
     Some(SpillEntry {
         doc: doc?,
@@ -264,6 +231,7 @@ fn decode_entry(text: &str, key_hex: &str) -> Option<SpillEntry> {
 mod tests {
     use super::*;
     use crate::counting;
+    use parchmint_harness::CellStatus;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -295,6 +263,36 @@ mod tests {
             },
         );
         stages
+    }
+
+    #[test]
+    fn the_v2_encoding_is_pinned() {
+        // The exact bytes a `parchmint-spill/v2` file holds, so no change
+        // to the cell codec can drift the format unnoticed.
+        let golden = concat!(
+            r#"{"compile_ms":5.25,"engine":"{engine}","key":"00000000deadbeef","#,
+            r#""name":"golden","schema":"parchmint-spill/v2","stages":{"#,
+            r#""route:astar":{"attempts":2,"detail":"fell back","status":"degraded"},"#,
+            r#""validate":{"attempts":1,"metrics":{"rules":12},"status":"ok"}},"#,
+            r#""design":{"name":"golden"}}"#,
+        );
+        let text = encode_entry(
+            "00000000deadbeef",
+            r#"{"name":"golden"}"#,
+            "golden",
+            Duration::from_micros(5250),
+            &sample_stages(),
+        );
+        assert_eq!(text, golden.replace("{engine}", engine_fingerprint()));
+        let entry = decode_entry(&text, "00000000deadbeef").expect("decodes");
+        let again = encode_entry(
+            "00000000deadbeef",
+            &entry.doc,
+            &entry.design,
+            entry.compile_wall,
+            &entry.stages,
+        );
+        assert_eq!(again, text);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! `run_matrix` (the suite sweep) and through the daemon's
 //! `Service::process_submit` must produce identical cells — same
 //! attempt schedule, same exhaustion wording, same injected-fault
-//! panic text.
+//! panic text, and the same `failed` cells for a panicked compile.
 
-use parchmint_harness::{run_matrix, Stage, StageOutcome, SuiteRunConfig};
+use parchmint_harness::{run_matrix, standard_stages, Stage, StageOutcome, SuiteRunConfig};
 use parchmint_resilience::{FaultKind, FaultPlan, FaultSpec, PipelineError};
 use parchmint_serve::protocol::{DesignSource, SubmitRequest};
 use parchmint_serve::{ServeConfig, Service};
@@ -56,13 +56,11 @@ fn fault_plan() -> FaultPlan {
 /// wall-clock time.
 type Shape = (String, String, Option<String>, BTreeMap<String, Value>);
 
-fn harness_shapes() -> Vec<Shape> {
+/// The cells `run_matrix` ends [`BENCH`] in over `stages` under `plan`.
+fn harness_cells(plan: FaultPlan, stages: Vec<Stage>) -> Vec<Shape> {
     let benchmark = parchmint_suite::by_name(BENCH).expect("registered benchmark");
-    let config = SuiteRunConfig::builder()
-        .threads(1)
-        .faults(fault_plan())
-        .build();
-    let report = run_matrix(&[benchmark], &make_stages(), &config);
+    let config = SuiteRunConfig::builder().threads(1).faults(plan).build();
+    let report = run_matrix(&[benchmark], &stages, &config);
     report
         .cells
         .iter()
@@ -77,9 +75,10 @@ fn harness_shapes() -> Vec<Shape> {
         .collect()
 }
 
-fn daemon_shapes() -> Vec<Shape> {
-    let config = ServeConfig::builder().faults(Some(fault_plan())).build();
-    let service = Service::with_stages(config, make_stages());
+/// The cells the daemon streams for [`BENCH`] over `stages` under `plan`.
+fn daemon_cells(plan: FaultPlan, stages: Vec<Stage>) -> Vec<Shape> {
+    let config = ServeConfig::builder().faults(Some(plan)).build();
+    let service = Service::with_stages(config, stages);
     let request = SubmitRequest {
         id: Value::from("parity"),
         source: DesignSource::Benchmark(BENCH.to_string()),
@@ -114,8 +113,8 @@ fn daemon_shapes() -> Vec<Shape> {
 
 #[test]
 fn daemon_and_suite_run_share_retry_and_fault_semantics() {
-    let harness = harness_shapes();
-    let daemon = daemon_shapes();
+    let harness = harness_cells(fault_plan(), make_stages());
+    let daemon = daemon_cells(fault_plan(), make_stages());
     assert_eq!(harness.len(), 3);
     assert_eq!(harness, daemon, "the two paths must emit identical cells");
 
@@ -143,6 +142,28 @@ fn daemon_and_suite_run_share_retry_and_fault_semantics() {
             .contains("injected fault: panic at parity.site"),
         "detail: {detail:?}"
     );
+}
+
+#[test]
+fn a_compile_panic_fails_the_same_cells_on_both_paths() {
+    let mut plan = FaultPlan::new();
+    plan.push(FaultSpec {
+        benchmark: Some(BENCH.to_string()),
+        site: "ir.compile".to_string(),
+        fault: FaultKind::Panic,
+    });
+    let harness = harness_cells(plan.clone(), standard_stages());
+    let daemon = daemon_cells(plan, standard_stages());
+    assert_eq!(harness.len(), standard_stages().len());
+    assert_eq!(harness, daemon, "the two paths must emit identical cells");
+    for (stage, status, detail, _) in &harness {
+        assert_eq!(status, "failed", "{stage}");
+        assert_eq!(
+            detail.as_deref(),
+            Some("device generation panicked: injected fault: panic at ir.compile"),
+            "{stage}"
+        );
+    }
 }
 
 #[test]

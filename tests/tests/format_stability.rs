@@ -4,9 +4,12 @@
 //! version story) explicitly.
 
 use parchmint::Device;
+use parchmint_harness::{read_outcome, write_outcome};
+use serde_json::Value;
 
 const GOLDEN_JSON: &str = include_str!("../data/logic_gate_or.golden.json");
 const GOLDEN_MINT: &str = include_str!("../data/rotary_pump_mixer.golden.mint");
+const BASELINE_REPORT: &str = include_str!("../../ci/baseline-report.json");
 
 #[test]
 fn json_wire_format_matches_golden_file() {
@@ -57,4 +60,20 @@ fn golden_json_passes_the_schema_structural_check() {
         parchmint::schema::check_document(&document),
         Vec::<String>::new()
     );
+}
+
+#[test]
+fn the_cell_codec_reads_and_rewrites_every_baseline_cell() {
+    // The one reader and the one writer of a cell's outcome members
+    // must carry every committed cell through unchanged.
+    let report: Value = serde_json::from_str(BASELINE_REPORT).unwrap();
+    let cells = report["cells"].as_array().unwrap();
+    assert_eq!(cells.len(), 180);
+    for cell in cells {
+        let exec = read_outcome(cell.as_object().unwrap()).unwrap();
+        let mut rewritten = write_outcome(exec.status, exec.detail.as_deref(), &exec.metrics);
+        rewritten.insert("benchmark".to_string(), cell["benchmark"].clone());
+        rewritten.insert("stage".to_string(), cell["stage"].clone());
+        assert_eq!(&Value::Object(rewritten), cell);
+    }
 }
