@@ -1,27 +1,11 @@
 //! `parchmint` — command-line tools for the ParchMint benchmark suite.
-//!
-//! ```text
-//! parchmint list                              list the benchmark suite
-//! parchmint generate <name> [-o FILE] [--mint]  emit a benchmark (JSON or MINT)
-//! parchmint validate <FILE|name>              validate a device, print diagnostics
-//! parchmint stats [--csv|--markdown]          suite characterization table (E1)
-//! parchmint render <FILE|name> -o FILE.svg [--pnr]   render a layout (E3)
-//! parchmint convert <FILE.json|FILE.mint> [-o FILE]  convert between formats (E5)
-//! parchmint pnr <name> [--placer P] [--router R] [-o FILE]   place & route (E4)
-//! parchmint plan <FILE|name> <from> <to>      valve-state control synthesis
-//! parchmint suite-run [BENCH...] [-o FILE] [--trace FILE] [--pareto FILE]   parallel suite evaluation
-//! parchmint quality-baseline <REPORT> [-o FILE]   extract a quality baseline from a suite report
-//! parchmint quality-check <BASELINE> <REPORT>     gate a report against a quality baseline
-//! parchmint report-diff <BASELINE> <CURRENT>      structural diff of two suite reports
-//! parchmint serve [--tcp ADDR] [--workers N]      compilation-as-a-service daemon
-//! parchmint submit --addr HOST:PORT [BENCH...]    submit designs to a running daemon
-//! parchmint chaos-proxy PLAN.json --upstream ADDR deterministic wire-fault proxy
-//! ```
+//! `parchmint help` prints the usage of every subcommand.
 
 use parchmint::{CompiledDevice, Device};
 use parchmint_pnr::{place_and_route_resilient, PlacerChoice, PnrReport, RouterChoice};
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,7 +21,7 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<(), String> {
     let mut it = args.iter().map(String::as_str);
     match it.next() {
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args[1..]),
         Some("generate") => cmd_generate(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
@@ -45,14 +29,7 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("convert") => cmd_convert(&args[1..]),
         Some("pnr") => cmd_pnr(&args[1..]),
         Some("plan") => cmd_plan(&args[1..]),
-        Some("schema") => {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&parchmint::schema::json_schema())
-                    .expect("schema serializes")
-            );
-            Ok(())
-        }
+        Some("schema") => cmd_schema(&args[1..]),
         Some("flow") => cmd_flow(&args[1..]),
         Some("suite-run") => cmd_suite_run(&args[1..]),
         Some("quality-baseline") => cmd_quality_baseline(&args[1..]),
@@ -101,72 +78,89 @@ USAGE:
   parchmint schema
 ";
 
-/// Extracts the value following `flag` from an argument list.
-fn option_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// One subcommand's command line, read once against what it declares.
+struct Args<'a> {
+    command: &'a str,
+    /// The flags given, each with its value (`None` for a switch).
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    /// The arguments that are neither a flag nor a flag's value, in order.
+    positionals: Vec<&'a str>,
 }
 
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// The arguments that are neither flags (`-…`) nor the value of one of
-/// `value_flags`, in order. Every subcommand that takes free arguments
-/// goes through this one filter, so flag/positional separation behaves
-/// identically everywhere.
-fn positionals_of<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut skip_next = false;
-    for arg in args {
-        if skip_next {
-            skip_next = false;
-            continue;
+impl<'a> Args<'a> {
+    /// Reads `args` for `command` in one pass. Each of `values` takes the
+    /// argument after it, and each of `switches` stands alone. Refused:
+    /// any other argument starting with `-`, a value flag with nothing or
+    /// a declared flag after it, a flag given twice, and a positional
+    /// count that `positionals` does not allow. `positionals` is the
+    /// command's usage text for them: each `<NAME>` is one required
+    /// argument, and a `...` lets the last one repeat.
+    fn read(
+        command: &'a str,
+        args: &'a [String],
+        values: &[&str],
+        switches: &[&str],
+        positionals: &str,
+    ) -> Result<Args<'a>, String> {
+        let declared = |arg: &str| values.contains(&arg) || switches.contains(&arg);
+        let mut read = Args {
+            command,
+            flags: Vec::new(),
+            positionals: Vec::new(),
+        };
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with('-') {
+                read.positionals.push(arg);
+                continue;
+            }
+            if !declared(arg) {
+                return Err(format!("{command}: unknown flag `{arg}`"));
+            }
+            if read.has(arg) {
+                return Err(format!("{command}: `{arg}` given twice"));
+            }
+            let value = if values.contains(&arg) {
+                match rest.next() {
+                    Some(value) if !declared(value) => Some(value),
+                    _ => return Err(format!("{command}: `{arg}` needs a value")),
+                }
+            } else {
+                None
+            };
+            read.flags.push((arg, value));
         }
-        if value_flags.contains(&arg.as_str()) {
-            skip_next = true;
-            continue;
+        let words = positionals.split_whitespace();
+        let required = words.filter(|word| word.starts_with('<')).count();
+        let count = read.positionals.len();
+        if count < required {
+            return Err(format!("{command}: expected {positionals}"));
         }
-        if arg.starts_with('-') {
-            continue;
+        if count > required && !positionals.contains("...") {
+            let extra = read.positionals[required];
+            return Err(format!("{command}: unexpected argument `{extra}`"));
         }
-        out.push(arg.as_str());
+        Ok(read)
     }
-    out
-}
 
-/// Like [`positionals_of`], but rejects flags outside the declared
-/// vocabulary instead of silently ignoring them.
-fn checked_positionals<'a>(
-    command: &str,
-    args: &'a [String],
-    value_flags: &[&str],
-    bool_flags: &[&str],
-) -> Result<Vec<&'a str>, String> {
-    let mut skip_next = false;
-    for arg in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if value_flags.contains(&arg.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if arg.starts_with('-') && !bool_flags.contains(&arg.as_str()) {
-            return Err(format!("{command}: unknown flag `{arg}`"));
-        }
+    /// The value given to `flag`.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(f, _)| *f == flag)?.1
     }
-    Ok(positionals_of(args, value_flags))
-}
 
-/// The first argument that is neither a flag nor a flag's value.
-fn positional(args: &[String]) -> Option<&str> {
-    positionals_of(args, &["-o", "--placer", "--router"])
-        .into_iter()
-        .next()
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The value given to `flag`, parsed as a `T`.
+    fn parse<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let Some(text) = self.value(flag) else {
+            return Ok(None);
+        };
+        let command = self.command;
+        (text.parse().map(Some)).map_err(|_| format!("{command}: bad `{flag}` value `{text}`"))
+    }
 }
 
 /// Loads a device from a benchmark name, a `.json` path, or a `.mint` path.
@@ -184,11 +178,15 @@ fn load_device(source: &str) -> Result<Device, String> {
     }
 }
 
+/// Writes `content` to the file at `path`.
+fn write_file(path: &str, content: &str) -> Result<(), String> {
+    std::fs::write(path, content).map_err(|e| format!("cannot write `{path}`: {e}"))
+}
+
+/// Writes `content` to `output`, or to stdout when there is none.
 fn write_output(output: Option<&str>, content: &str) -> Result<(), String> {
     match output {
-        Some(path) => {
-            std::fs::write(path, content).map_err(|e| format!("cannot write `{path}`: {e}"))
-        }
+        Some(path) => write_file(path, content),
         None => {
             print!("{content}");
             Ok(())
@@ -196,7 +194,8 @@ fn write_output(output: Option<&str>, content: &str) -> Result<(), String> {
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(argv: &[String]) -> Result<(), String> {
+    Args::read("list", argv, &[], &[], "")?;
     println!("{:<30} {:<10} description", "name", "class");
     for benchmark in parchmint_suite::suite() {
         println!(
@@ -209,22 +208,32 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let name = positional(args).ok_or("generate: missing benchmark name")?;
+fn cmd_schema(argv: &[String]) -> Result<(), String> {
+    Args::read("schema", argv, &[], &[], "")?;
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&parchmint::schema::json_schema()).expect("schema serializes")
+    );
+    Ok(())
+}
+
+fn cmd_generate(argv: &[String]) -> Result<(), String> {
+    let args = Args::read("generate", argv, &["-o"], &["--mint"], "<benchmark>")?;
+    let name = args.positionals[0];
     let device = parchmint_suite::by_name(name)
         .ok_or_else(|| format!("unknown benchmark `{name}` (see `parchmint list`)"))?
         .device();
-    let content = if has_flag(args, "--mint") {
+    let content = if args.has("--mint") {
         parchmint_mint::print(&parchmint_mint::device_to_mint(&device))
     } else {
         device.to_json_pretty().map_err(|e| e.to_string())? + "\n"
     };
-    write_output(option_value(args, "-o"), &content)
+    write_output(args.value("-o"), &content)
 }
 
-fn cmd_validate(args: &[String]) -> Result<(), String> {
-    let source = positional(args).ok_or("validate: missing input")?;
-    let device = load_device(source)?;
+fn cmd_validate(argv: &[String]) -> Result<(), String> {
+    let args = Args::read("validate", argv, &[], &[], "<FILE|benchmark>")?;
+    let device = load_device(args.positionals[0])?;
     let report = parchmint_verify::validate(&CompiledDevice::from_ref(&device));
     print!("{report}");
     if report.is_conformant() {
@@ -234,13 +243,14 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), String> {
+fn cmd_stats(argv: &[String]) -> Result<(), String> {
+    let args = Args::read("stats", argv, &[], &["--csv", "--markdown", "--json"], "")?;
     let table = parchmint_stats::characterize_suite();
-    let rendered = if has_flag(args, "--csv") {
+    let rendered = if args.has("--csv") {
         table.render_csv()
-    } else if has_flag(args, "--markdown") {
+    } else if args.has("--markdown") {
         table.render_markdown()
-    } else if has_flag(args, "--json") {
+    } else if args.has("--json") {
         table.render_json()
     } else {
         table.render_text()
@@ -249,24 +259,24 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_render(args: &[String]) -> Result<(), String> {
-    let source = positional(args).ok_or("render: missing input")?;
-    let output = option_value(args, "-o").ok_or("render: missing `-o FILE.svg`")?;
-    let mut device = load_device(source)?;
-    if has_flag(args, "--pnr") {
+fn cmd_render(argv: &[String]) -> Result<(), String> {
+    let args = Args::read("render", argv, &["-o"], &["--pnr"], "<FILE|benchmark>")?;
+    let output = args.value("-o").ok_or("render: missing `-o FILE.svg`")?;
+    let mut device = load_device(args.positionals[0])?;
+    if args.has("--pnr") {
         let report =
             place_and_route_logged(&mut device, PlacerChoice::Annealing, RouterChoice::AStar)?;
         eprintln!("{}", PnrReport::header());
         eprintln!("{}", report.row());
     }
-    let svg = parchmint_render::render_svg_default(&device);
-    std::fs::write(output, svg).map_err(|e| format!("cannot write `{output}`: {e}"))?;
+    write_file(output, &parchmint_render::render_svg_default(&device))?;
     eprintln!("wrote {output}");
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let source = positional(args).ok_or("convert: missing input")?;
+fn cmd_convert(argv: &[String]) -> Result<(), String> {
+    let args = Args::read("convert", argv, &["-o"], &[], "<FILE.json|FILE.mint>")?;
+    let source = args.positionals[0];
     let device = load_device(source)?;
     let to_mint = !source.ends_with(".mint");
     let content = if to_mint {
@@ -274,18 +284,24 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     } else {
         device.to_json_pretty().map_err(|e| e.to_string())? + "\n"
     };
-    write_output(option_value(args, "-o"), &content)
+    write_output(args.value("-o"), &content)
 }
 
-fn cmd_pnr(args: &[String]) -> Result<(), String> {
-    let name = positional(args).ok_or("pnr: missing benchmark name")?;
-    let mut device = load_device(name)?;
-    let placer = match option_value(args, "--placer").unwrap_or("annealing") {
+fn cmd_pnr(argv: &[String]) -> Result<(), String> {
+    let args = Args::read(
+        "pnr",
+        argv,
+        &["--placer", "--router", "-o"],
+        &[],
+        "<benchmark>",
+    )?;
+    let mut device = load_device(args.positionals[0])?;
+    let placer = match args.value("--placer").unwrap_or("annealing") {
         "greedy" => PlacerChoice::Greedy,
         "annealing" => PlacerChoice::Annealing,
         other => return Err(format!("unknown placer `{other}`")),
     };
-    let router = match option_value(args, "--router").unwrap_or("astar") {
+    let router = match args.value("--router").unwrap_or("astar") {
         "straight" => RouterChoice::Straight,
         "astar" => RouterChoice::AStar,
         "negotiate" => RouterChoice::Negotiate,
@@ -294,9 +310,9 @@ fn cmd_pnr(args: &[String]) -> Result<(), String> {
     let report = place_and_route_logged(&mut device, placer, router)?;
     println!("{}", PnrReport::header());
     println!("{}", report.row());
-    if let Some(output) = option_value(args, "-o") {
+    if let Some(output) = args.value("-o") {
         let json = device.to_json_pretty().map_err(|e| e.to_string())?;
-        std::fs::write(output, json + "\n").map_err(|e| format!("cannot write `{output}`: {e}"))?;
+        write_file(output, &(json + "\n"))?;
         eprintln!("wrote {output}");
     }
     Ok(())
@@ -316,14 +332,9 @@ fn place_and_route_logged(
     Ok(run.report)
 }
 
-fn cmd_flow(args: &[String]) -> Result<(), String> {
-    let positionals = positionals_of(args, &[]);
-    let [source, conditions @ ..] = positionals.as_slice() else {
-        return Err("flow: expected <FILE|benchmark> <node=Pa>...".into());
-    };
-    if conditions.is_empty() {
-        return Err("flow: at least one boundary condition (node=Pa) required".into());
-    }
+fn cmd_flow(argv: &[String]) -> Result<(), String> {
+    let args = Args::read("flow", argv, &[], &[], "<FILE|benchmark> <node=Pa>...")?;
+    let (source, conditions) = (args.positionals[0], &args.positionals[1..]);
     let device = load_device(source)?;
     let mut boundary = Vec::new();
     for condition in conditions {
@@ -355,10 +366,10 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_suite_run(args: &[String]) -> Result<(), String> {
-    let benchmarks: Vec<String> = checked_positionals(
+fn cmd_suite_run(argv: &[String]) -> Result<(), String> {
+    let args = Args::read(
         "suite-run",
-        args,
+        argv,
         &[
             "--threads",
             "-o",
@@ -369,59 +380,42 @@ fn cmd_suite_run(args: &[String]) -> Result<(), String> {
             "--fuel",
         ],
         &["--strip-timings"],
-    )?
-    .into_iter()
-    .map(str::to_string)
-    .collect();
-
-    let trace_path = option_value(args, "--trace");
+        "[BENCH...]",
+    )?;
+    let trace_path = args.value("--trace");
     let mut builder = parchmint_harness::SuiteRunConfig::builder()
-        .benchmarks(benchmarks)
+        .benchmarks(args.positionals.iter().copied())
         .tracing(trace_path.is_some());
-    if let Some(text) = option_value(args, "--threads") {
-        builder = builder.threads(
-            text.parse()
-                .map_err(|_| format!("suite-run: bad thread count `{text}`"))?,
-        );
+    if let Some(threads) = args.parse("--threads")? {
+        builder = builder.threads(threads);
     }
-    if let Some(text) = option_value(args, "--deadline-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("suite-run: bad deadline `{text}` (want milliseconds)"))?;
-        builder = builder.deadline(std::time::Duration::from_millis(ms));
+    if let Some(ms) = args.parse("--deadline-ms")? {
+        builder = builder.deadline(Duration::from_millis(ms));
     }
-    if let Some(text) = option_value(args, "--fuel") {
-        builder = builder.fuel(
-            text.parse()
-                .map_err(|_| format!("suite-run: bad fuel budget `{text}`"))?,
-        );
+    if let Some(fuel) = args.parse("--fuel")? {
+        builder = builder.fuel(fuel);
     }
-    if let Some(path) = option_value(args, "--faults") {
+    if let Some(path) = args.value("--faults") {
         builder = builder.faults(parse_fault_plan("suite-run", path)?);
     }
     let config = builder.build();
     let report = parchmint_harness::run_suite(&config);
     print!("{}", report.summary_table());
 
-    let include_timings = !has_flag(args, "--strip-timings");
-    if let Some(path) = option_value(args, "-o") {
-        std::fs::write(path, report.to_json_string(include_timings))
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    let include_timings = !args.has("--strip-timings");
+    if let Some(path) = args.value("-o") {
+        write_file(path, &report.to_json_string(include_timings))?;
         println!("report written to {path}");
     }
 
     if let Some(path) = trace_path {
-        std::fs::write(path, report.trace_json_string(include_timings))
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_file(path, &report.trace_json_string(include_timings))?;
         println!("trace written to {path}");
     }
 
-    if let Some(path) = option_value(args, "--pareto") {
-        std::fs::write(
-            path,
-            parchmint_harness::pareto_json_string(&report, include_timings),
-        )
-        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    if let Some(path) = args.value("--pareto") {
+        let pareto = parchmint_harness::pareto_json_string(&report, include_timings);
+        write_file(path, &pareto)?;
         println!("pareto sweep written to {path}");
     }
 
@@ -461,7 +455,7 @@ fn verify_faulted_sweep(
     report: &parchmint_harness::SuiteReport,
     plan: &parchmint_resilience::FaultPlan,
 ) -> Result<(), String> {
-    use parchmint_harness::CellStatus;
+    use parchmint_harness::{check_matrix, CellStatus};
 
     let mut benchmarks: Vec<&str> = Vec::new();
     for cell in &report.cells {
@@ -470,16 +464,7 @@ fn verify_faulted_sweep(
         }
     }
     let mut problems = Vec::new();
-
-    let expected = benchmarks.len() * report.stages.len();
-    if report.cells.len() != expected {
-        problems.push(format!(
-            "matrix has {} cells, expected {expected} ({} benchmarks x {} stages)",
-            report.cells.len(),
-            benchmarks.len(),
-            report.stages.len()
-        ));
-    }
+    problems.extend(check_matrix(&report.cells, &benchmarks, &report.stages).err());
 
     for name in &benchmarks {
         let cells = report.cells.iter().filter(|c| c.benchmark == *name);
@@ -531,20 +516,24 @@ fn read_json(path: &str) -> Result<serde_json::Value, String> {
     serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_quality_baseline(args: &[String]) -> Result<(), String> {
-    let source = positional(args).ok_or("quality-baseline: missing suite report")?;
-    let report = read_json(source)?;
+fn cmd_quality_baseline(argv: &[String]) -> Result<(), String> {
+    let args = Args::read("quality-baseline", argv, &["-o"], &[], "<REPORT.json>")?;
+    let report = read_json(args.positionals[0])?;
     write_output(
-        option_value(args, "-o"),
+        args.value("-o"),
         &parchmint_harness::quality_baseline_string(&report),
     )
 }
 
-fn cmd_quality_check(args: &[String]) -> Result<(), String> {
-    let positionals = positionals_of(args, &[]);
-    let [baseline_path, report_path] = positionals.as_slice() else {
-        return Err("quality-check: expected <BASELINE.json> <REPORT.json>".into());
-    };
+fn cmd_quality_check(argv: &[String]) -> Result<(), String> {
+    let args = Args::read(
+        "quality-check",
+        argv,
+        &[],
+        &[],
+        "<BASELINE.json> <REPORT.json>",
+    )?;
+    let (baseline_path, report_path) = (args.positionals[0], args.positionals[1]);
     let baseline = read_json(baseline_path)?;
     if baseline.get("schema").and_then(serde_json::Value::as_str)
         != Some(parchmint_harness::QUALITY_SCHEMA)
@@ -576,11 +565,15 @@ fn cmd_quality_check(args: &[String]) -> Result<(), String> {
 /// Structurally diffs two suite reports, printing one line per
 /// difference ([`parchmint_harness::report_diff`]) — the explanation step
 /// behind the byte-compare regression gate.
-fn cmd_report_diff(args: &[String]) -> Result<(), String> {
-    let positionals = positionals_of(args, &[]);
-    let [baseline_path, current_path] = positionals.as_slice() else {
-        return Err("report-diff: expected <BASELINE.json> <CURRENT.json>".into());
-    };
+fn cmd_report_diff(argv: &[String]) -> Result<(), String> {
+    let args = Args::read(
+        "report-diff",
+        argv,
+        &[],
+        &[],
+        "<BASELINE.json> <CURRENT.json>",
+    )?;
+    let (baseline_path, current_path) = (args.positionals[0], args.positionals[1]);
     let baseline = read_json(baseline_path)?;
     let current = read_json(current_path)?;
     let lines = parchmint_harness::report_diff(&baseline, &current);
@@ -608,12 +601,12 @@ fn parse_fault_plan(command: &str, path: &str) -> Result<parchmint_resilience::F
     parchmint_resilience::FaultPlan::from_json_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(argv: &[String]) -> Result<(), String> {
     use parchmint_serve::ServeConfig;
 
-    checked_positionals(
+    let args = Args::read(
         "serve",
-        args,
+        argv,
         &[
             "--tcp",
             "--http",
@@ -631,89 +624,56 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--line-max-bytes",
         ],
         &[],
+        "",
     )?;
-    let socket_ms = |flag: &str| -> Result<Option<u64>, String> {
-        match option_value(args, flag) {
-            None => Ok(None),
-            Some(text) => text.parse().map(Some).map_err(|_| {
-                format!("serve: bad `{flag}` value `{text}` (want milliseconds, 0 disables)")
-            }),
-        }
-    };
     let mut builder = ServeConfig::builder();
-    if let Some(ms) = socket_ms("--read-timeout-ms")? {
+    if let Some(ms) = args.parse("--read-timeout-ms")? {
         builder = builder.read_timeout_ms(ms);
     }
-    if let Some(ms) = socket_ms("--write-timeout-ms")? {
+    if let Some(ms) = args.parse("--write-timeout-ms")? {
         builder = builder.write_timeout_ms(ms);
     }
-    if let Some(ms) = socket_ms("--idle-timeout-ms")? {
+    if let Some(ms) = args.parse("--idle-timeout-ms")? {
         builder = builder.idle_timeout_ms(ms);
     }
-    if let Some(text) = option_value(args, "--line-max-bytes") {
-        builder = builder.line_max_bytes(
-            text.parse()
-                .map_err(|_| format!("serve: bad frame cap `{text}` (want bytes)"))?,
-        );
+    if let Some(bytes) = args.parse("--line-max-bytes")? {
+        builder = builder.line_max_bytes(bytes);
     }
-    if let Some(text) = option_value(args, "--workers") {
-        builder = builder.workers(
-            text.parse()
-                .map_err(|_| format!("serve: bad worker count `{text}`"))?,
-        );
+    if let Some(workers) = args.parse("--workers")? {
+        builder = builder.workers(workers);
     }
-    if let Some(text) = option_value(args, "--queue") {
-        builder = builder.queue_capacity(
-            text.parse()
-                .map_err(|_| format!("serve: bad queue capacity `{text}`"))?,
-        );
+    if let Some(capacity) = args.parse("--queue")? {
+        builder = builder.queue_capacity(capacity);
     }
-    if let Some(text) = option_value(args, "--cache-bytes") {
-        builder = builder.cache_bytes(
-            text.parse()
-                .map_err(|_| format!("serve: bad cache byte budget `{text}`"))?,
-        );
+    if let Some(bytes) = args.parse("--cache-bytes")? {
+        builder = builder.cache_bytes(bytes);
     }
-    if let Some(path) = option_value(args, "--cache-dir") {
+    if let Some(path) = args.value("--cache-dir") {
         builder = builder.cache_dir(path);
     }
-    if let Some(text) = option_value(args, "--http-max-body") {
-        builder = builder.http_max_body(
-            text.parse()
-                .map_err(|_| format!("serve: bad body cap `{text}` (want bytes)"))?,
-        );
+    if let Some(bytes) = args.parse("--http-max-body")? {
+        builder = builder.http_max_body(bytes);
     }
-    if let Some(text) = option_value(args, "--deadline-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("serve: bad deadline `{text}` (want milliseconds)"))?;
-        builder = builder.deadline(Some(std::time::Duration::from_millis(ms)));
-    }
-    if let Some(text) = option_value(args, "--fuel") {
-        builder = builder.fuel(Some(
-            text.parse()
-                .map_err(|_| format!("serve: bad fuel budget `{text}`"))?,
-        ));
-    }
-    if let Some(path) = option_value(args, "--faults") {
+    builder = builder.deadline(args.parse("--deadline-ms")?.map(Duration::from_millis));
+    builder = builder.fuel(args.parse("--fuel")?);
+    if let Some(path) = args.value("--faults") {
         builder = builder.faults(Some(parse_fault_plan("serve", path)?));
     }
-    if let Some(addr) = option_value(args, "--tcp") {
+    if let Some(addr) = args.value("--tcp") {
         builder = builder.tcp(addr);
     }
-    if let Some(addr) = option_value(args, "--http") {
+    if let Some(addr) = args.value("--http") {
         builder = builder.http(addr);
     }
     parchmint_serve::run(builder.build()).map_err(|e| format!("serve: {e}"))
 }
 
-fn cmd_submit(args: &[String]) -> Result<(), String> {
+fn cmd_submit(argv: &[String]) -> Result<(), String> {
     use parchmint_serve::{submit_suite, Client, ClientConfig, DEFAULT_WINDOW};
 
-    let addr = option_value(args, "--addr").ok_or("submit: missing `--addr HOST:PORT`")?;
-    let benchmarks: Vec<String> = checked_positionals(
+    let args = Args::read(
         "submit",
-        args,
+        argv,
         &[
             "--addr",
             "--stages",
@@ -726,44 +686,33 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
             "--backoff-seed",
         ],
         &["--strip-timings", "--shutdown"],
-    )?
-    .into_iter()
-    .map(str::to_string)
-    .collect();
+        "[BENCH...]",
+    )?;
+    let addr = args
+        .value("--addr")
+        .ok_or("submit: missing `--addr HOST:PORT`")?;
     let mut config = ClientConfig::default();
-    if let Some(text) = option_value(args, "--connect-timeout-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("submit: bad connect timeout `{text}` (want milliseconds)"))?;
-        config = config.with_connect_timeout(std::time::Duration::from_millis(ms));
+    if let Some(ms) = args.parse("--connect-timeout-ms")? {
+        config = config.with_connect_timeout(Duration::from_millis(ms));
     }
-    if let Some(text) = option_value(args, "--read-timeout-ms") {
-        let ms: u64 = text
-            .parse()
-            .map_err(|_| format!("submit: bad read timeout `{text}` (want milliseconds)"))?;
-        config = config.with_read_timeout(std::time::Duration::from_millis(ms));
+    if let Some(ms) = args.parse("--read-timeout-ms")? {
+        config = config.with_read_timeout(Duration::from_millis(ms));
     }
-    if let Some(text) = option_value(args, "--retry-max") {
-        config = config.with_max_reconnects(
-            text.parse()
-                .map_err(|_| format!("submit: bad retry budget `{text}`"))?,
-        );
+    if let Some(max) = args.parse("--retry-max")? {
+        config = config.with_max_reconnects(max);
     }
-    if let Some(text) = option_value(args, "--backoff-seed") {
-        config = config.with_backoff_seed(
-            text.parse()
-                .map_err(|_| format!("submit: bad backoff seed `{text}`"))?,
-        );
+    if let Some(seed) = args.parse("--backoff-seed")? {
+        config = config.with_backoff_seed(seed);
     }
-    let names = (!benchmarks.is_empty()).then_some(benchmarks);
+    let names: Option<Vec<String>> = (!args.positionals.is_empty()).then(|| {
+        args.positionals
+            .iter()
+            .map(|name| name.to_string())
+            .collect()
+    });
     let stages: Option<Vec<String>> =
-        option_value(args, "--stages").map(|text| text.split(',').map(str::to_string).collect());
-    let window = match option_value(args, "--window") {
-        Some(text) => text
-            .parse()
-            .map_err(|_| format!("submit: bad window `{text}`"))?,
-        None => DEFAULT_WINDOW,
-    };
+        (args.value("--stages")).map(|text| text.split(',').map(str::to_string).collect());
+    let window = args.parse("--window")?.unwrap_or(DEFAULT_WINDOW);
 
     let mut client = Client::connect_with(addr, config)
         .map_err(|e| format!("submit: cannot connect to `{addr}`: {e}"))?;
@@ -783,21 +732,20 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         submission.reconnects, submission.resumed_designs,
     );
 
-    let include_timings = !has_flag(args, "--strip-timings");
-    if let Some(path) = option_value(args, "-o") {
-        std::fs::write(path, report.to_json_string(include_timings))
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    let include_timings = !args.has("--strip-timings");
+    if let Some(path) = args.value("-o") {
+        write_file(path, &report.to_json_string(include_timings))?;
         println!("report written to {path}");
     }
-    if let Some(path) = option_value(args, "--stats-out") {
+    if let Some(path) = args.value("--stats-out") {
         let stats = client.stats().map_err(|e| format!("submit: {e}"))?;
         let mut text =
             serde_json::to_string_pretty(&stats).expect("stats serialization is infallible");
         text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        write_file(path, &text)?;
         println!("daemon stats written to {path}");
     }
-    if has_flag(args, "--shutdown") {
+    if args.has("--shutdown") {
         client.shutdown().map_err(|e| format!("submit: {e}"))?;
         println!("daemon shutdown acknowledged");
     }
@@ -809,16 +757,21 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 /// process is killed: accepts on `--listen`, forwards to `--upstream`,
 /// and injects the faults a `parchmint-chaos/v1` plan assigns to each
 /// connection (counted in accept order).
-fn cmd_chaos_proxy(args: &[String]) -> Result<(), String> {
+fn cmd_chaos_proxy(argv: &[String]) -> Result<(), String> {
     use parchmint_serve::{ChaosPlan, ChaosProxy};
 
-    let positionals = checked_positionals("chaos-proxy", args, &["--listen", "--upstream"], &[])?;
-    let [plan_path] = positionals.as_slice() else {
-        return Err("chaos-proxy: expected exactly one positional argument, <PLAN.json>".into());
-    };
-    let upstream =
-        option_value(args, "--upstream").ok_or("chaos-proxy: missing `--upstream HOST:PORT`")?;
-    let listen = option_value(args, "--listen").unwrap_or("127.0.0.1:0");
+    let args = Args::read(
+        "chaos-proxy",
+        argv,
+        &["--listen", "--upstream"],
+        &[],
+        "<PLAN.json>",
+    )?;
+    let plan_path = args.positionals[0];
+    let upstream = args
+        .value("--upstream")
+        .ok_or("chaos-proxy: missing `--upstream HOST:PORT`")?;
+    let listen = args.value("--listen").unwrap_or("127.0.0.1:0");
 
     let text = std::fs::read_to_string(plan_path)
         .map_err(|e| format!("chaos-proxy: cannot read chaos plan `{plan_path}`: {e}"))?;
@@ -833,13 +786,15 @@ fn cmd_chaos_proxy(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_plan(args: &[String]) -> Result<(), String> {
-    let positionals = positionals_of(args, &[]);
-    let [source, from, to] = positionals.as_slice() else {
-        return Err("plan: expected <FILE|benchmark> <from> <to>".into());
-    };
+fn cmd_plan(argv: &[String]) -> Result<(), String> {
+    let args = Args::read("plan", argv, &[], &[], "<FILE|benchmark> <from> <to>")?;
+    let (source, from, to) = (
+        args.positionals[0],
+        args.positionals[1],
+        args.positionals[2],
+    );
     let compiled = CompiledDevice::compile(load_device(source)?);
-    let plan = parchmint_control::plan_flow(&compiled, &(*from).into(), &(*to).into())
+    let plan = parchmint_control::plan_flow(&compiled, &from.into(), &to.into())
         .map_err(|e| e.to_string())?;
     println!("{plan}");
     for actuation in plan.actuations(&compiled) {
@@ -858,18 +813,107 @@ mod tests {
 
     #[test]
     fn option_parsing() {
-        let args = strings(&["logic_gate_or", "-o", "out.svg", "--pnr"]);
-        assert_eq!(option_value(&args, "-o"), Some("out.svg"));
-        assert!(has_flag(&args, "--pnr"));
-        assert!(!has_flag(&args, "--mint"));
-        assert_eq!(positional(&args), Some("logic_gate_or"));
+        let argv = strings(&["logic_gate_or", "-o", "out.svg", "--pnr"]);
+        let args = Args::read("render", &argv, &["-o"], &["--pnr", "--mint"], "<FILE>").unwrap();
+        assert_eq!(args.value("-o"), Some("out.svg"));
+        assert!(args.has("--pnr"));
+        assert!(!args.has("--mint"));
+        assert_eq!(args.positionals, ["logic_gate_or"]);
     }
 
     #[test]
     fn positional_skips_option_values() {
-        let args = strings(&["-o", "file", "--placer", "greedy", "bench_name"]);
-        assert_eq!(positional(&args), Some("bench_name"));
-        assert_eq!(positional(&strings(&["-o", "x"])), None);
+        let read = |argv: &[&str]| {
+            let values = ["-o", "--placer", "--router"];
+            Args::read("pnr", &strings(argv), &values, &[], "<benchmark>")
+                .map(|args| args.positionals.concat())
+        };
+        let args = read(&["-o", "file", "--placer", "greedy", "bench_name"]);
+        assert_eq!(args.as_deref(), Ok("bench_name"));
+        assert_eq!(read(&["-o", "x"]).unwrap_err(), "pnr: expected <benchmark>");
+    }
+
+    #[test]
+    fn the_reader_refuses_what_a_command_does_not_declare() {
+        fn read<'a>(argv: &'a [String], positionals: &str) -> Result<Args<'a>, String> {
+            Args::read("cmd", argv, &["-o", "--n"], &["--all"], positionals)
+        }
+        for (argv, positionals, error) in [
+            (&["a", "--bogus"][..], "<A>", "cmd: unknown flag `--bogus`"),
+            (&["a", "-o"], "<A>", "cmd: `-o` needs a value"),
+            (&["a", "-o", "--all"], "<A>", "cmd: `-o` needs a value"),
+            (&["a", "-o", "--n", "1"], "<A>", "cmd: `-o` needs a value"),
+            (&["a", "-o", "x", "-o", "y"], "<A>", "cmd: `-o` given twice"),
+            (&["--all", "a", "--all"], "<A>", "cmd: `--all` given twice"),
+            (&[], "<A>", "cmd: expected <A>"),
+            (&["a"], "<A> <B>...", "cmd: expected <A> <B>..."),
+            (&["a", "b"], "<A>", "cmd: unexpected argument `b`"),
+            (&["a"], "", "cmd: unexpected argument `a`"),
+        ] {
+            let refused = read(&strings(argv), positionals).err();
+            assert_eq!(refused.as_deref(), Some(error), "{argv:?}");
+        }
+        // A value that is no declared flag is taken as it stands, and a
+        // `...` takes any number of positionals, flags among them.
+        let argv = strings(&["a", "-o", "-x", "b", "--all", "c"]);
+        let args = read(&argv, "[A...]").unwrap();
+        assert_eq!(args.value("-o"), Some("-x"));
+        assert_eq!(args.positionals, ["a", "b", "c"]);
+        assert!(args.has("--all") && !args.has("--n"));
+        assert_eq!(args.parse::<u64>("--n"), Ok(None));
+        let argv = strings(&["--n", "seven"]);
+        let bad = read(&argv, "").unwrap().parse::<u64>("--n").unwrap_err();
+        assert_eq!(bad, "cmd: bad `--n` value `seven`");
+    }
+
+    #[test]
+    fn every_subcommand_refuses_an_undeclared_flag_and_a_trailing_value_flag() {
+        const REPORT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/baseline-report.json");
+        const QUALITY: &str = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../ci/baseline-quality.json"
+        );
+        const CHAOS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/chaos-plan.json");
+        // Each subcommand with arguments it takes, and a value flag it
+        // declares (`-o` stands in where it declares none). `serve` with a
+        // trailing value flag would serve stdin wherever the flag is
+        // ignored, so `tests/misread_command_lines.rs` runs that case.
+        let cases: [(&str, &[&str], &[&str]); 17] = [
+            ("list", &[], &["-o"]),
+            ("generate", &["logic_gate_or"], &["-o"]),
+            ("validate", &["logic_gate_or"], &["-o"]),
+            ("stats", &[], &["-o"]),
+            ("render", &["logic_gate_or"], &["-o"]),
+            ("convert", &["logic_gate_or"], &["-o"]),
+            ("pnr", &["logic_gate_or"], &["--router"]),
+            ("plan", &["rotary_pump_mixer", "in_a", "out"], &["-o"]),
+            ("schema", &[], &["-o"]),
+            (
+                "flow",
+                &["molecular_gradient_generator", "in_a=1000", "out_3=0"],
+                &["-o"],
+            ),
+            ("suite-run", &["logic_gate_or"], &["--threads"]),
+            ("quality-baseline", &[REPORT], &["-o"]),
+            ("quality-check", &[QUALITY, REPORT], &["-o"]),
+            ("report-diff", &[REPORT, REPORT], &["-o"]),
+            ("serve", &[], &[]),
+            ("submit", &["--addr", "127.0.0.1:1"], &["--window"]),
+            ("chaos-proxy", &[CHAOS], &["--upstream"]),
+        ];
+        let mut accepted = Vec::new();
+        for (command, base, value_flags) in cases {
+            for flag in ["--no-such-flag"].iter().chain(value_flags) {
+                let line = strings(&[&[command][..], base, &[flag]].concat());
+                match run(&line) {
+                    Err(e)
+                        if e.starts_with(&format!("{command}: "))
+                            && e.contains(&format!("`{flag}`")) => {}
+                    outcome => accepted.push(format!("{line:?}: {outcome:?}")),
+                }
+            }
+        }
+        assert!(accepted.is_empty(), "{accepted:#?}");
     }
 
     #[test]

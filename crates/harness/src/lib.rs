@@ -58,7 +58,9 @@ pub mod stage;
 
 pub use batch::shard_map;
 pub use engine::{compile_device, execute_stage, CompileExec, ExecPolicy};
-pub use matrix::{resolve_matrix, select_benchmarks, select_stages, stage_matches, ResolvedMatrix};
+pub use matrix::{
+    check_matrix, resolve_matrix, select_benchmarks, select_stages, stage_matches, ResolvedMatrix,
+};
 pub use pareto::{pareto_json, pareto_json_string, pareto_rows, ParetoPoint, ParetoRow};
 pub use quality::{
     compare_quality, quality_baseline_json, quality_baseline_string, report_diff,

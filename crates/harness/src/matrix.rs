@@ -98,6 +98,28 @@ pub fn resolve_matrix(benchmarks: Option<&[String]>, stages: Option<&[String]>) 
     }
 }
 
+/// Checks that `cells` hold exactly one cell per benchmark × stage of
+/// `benchmarks` and `stages`, in any order, and nothing else.
+pub fn check_matrix(cells: &[Cell], benchmarks: &[&str], stages: &[String]) -> Result<(), String> {
+    let expected = benchmarks.len() * stages.len();
+    if cells.len() != expected {
+        return Err(format!(
+            "matrix has {} cells, expected {expected} ({} benchmarks x {} stages)",
+            cells.len(),
+            benchmarks.len(),
+            stages.len()
+        ));
+    }
+    for benchmark in benchmarks {
+        for stage in stages {
+            if !(cells.iter()).any(|c| c.benchmark == *benchmark && c.stage == *stage) {
+                return Err(format!("matrix has no cell {benchmark}/{stage}"));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

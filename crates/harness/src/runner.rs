@@ -15,7 +15,7 @@ use crate::stage::Stage;
 use parchmint_resilience::FaultPlan;
 use parchmint_suite::Benchmark;
 use std::cmp::Reverse;
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use crate::engine::MAX_ATTEMPTS;
@@ -231,8 +231,7 @@ pub fn run_matrix(
             let slice = plan.for_benchmark(&name);
             (!slice.is_empty()).then(|| Arc::new(slice))
         });
-        let compile =
-            quietly(|| engine::compile_device(|| benchmark.device(), faults.as_ref(), tracing));
+        let compile = engine::compile_device(|| benchmark.device(), faults.as_ref(), tracing);
         Row {
             name,
             faults,
@@ -247,7 +246,7 @@ pub fn run_matrix(
         .flat_map(|row| stages.iter().map(move |stage| (row, stage)))
         .collect();
     let cells = shard_map(&tasks, workers, |_, (row, stage)| {
-        quietly(|| row.run(stage, &policy, tracing))
+        row.run(stage, &policy, tracing)
     });
 
     let mut compile_walls = Vec::new();
@@ -307,36 +306,6 @@ impl Row {
         };
         Cell::new(&self.name, &stage.name, exec, wall)
     }
-}
-
-thread_local! {
-    /// Set while this thread runs sweep work, whose panics the engine
-    /// catches and reports as cells.
-    static QUIET: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Runs `body` with this thread's panics kept off stderr.
-///
-/// The default panic hook would print a message for every isolated stage
-/// failure. The hook is process-global, so it is replaced once, for good,
-/// by one that defers to the prior hook except on threads inside
-/// `quietly`. Swapping it per sweep would silence every thread while a
-/// sweep runs, and two overlapping sweeps could leave the silent hook
-/// installed.
-fn quietly<T>(body: impl FnOnce() -> T) -> T {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prior = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !QUIET.get() {
-                prior(info);
-            }
-        }));
-    });
-    let outer = QUIET.replace(true);
-    let result = body();
-    QUIET.set(outer);
-    result
 }
 
 #[cfg(test)]

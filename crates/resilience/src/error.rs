@@ -9,7 +9,9 @@
 
 use crate::budget::Interrupted;
 use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
+use std::sync::Once;
 
 /// How bad a pipeline error is, and what the harness should do about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,14 +130,38 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
+thread_local! {
+    /// Set while this thread runs inside [`attempt`], which catches and
+    /// reports whatever panics there.
+    static CATCHING: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Runs `f`, converting a panic into `Err(message)` instead of unwinding.
 ///
 /// The closure only needs [`std::panic::UnwindSafe`] in spirit: stages pass
 /// owned data and rebuild state on retry, so the blanket `AssertUnwindSafe`
 /// is sound here the same way it is in the harness cell isolation.
+///
+/// A caught panic is kept off stderr: its message is the `Err`. The panic
+/// hook is process-global, so it is replaced once, for good, by one that
+/// defers to the prior hook except on a thread inside `attempt`. Panics
+/// nothing catches, on any thread, still reach the prior hook. Swapping
+/// the hook per call would silence every thread meanwhile, and two
+/// overlapping calls could leave the silent hook installed.
 pub fn attempt<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .map_err(|payload| panic_message(payload.as_ref()))
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let prior = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !CATCHING.get() {
+                prior(info);
+            }
+        }));
+    });
+    let outer = CATCHING.replace(true);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    CATCHING.set(outer);
+    result.map_err(|payload| panic_message(payload.as_ref()))
 }
 
 #[cfg(test)]

@@ -238,7 +238,8 @@ impl ChaosCounters {
     }
 }
 
-fn xorshift(state: &mut u64) -> u64 {
+/// The next number of the xorshift64 stream in `state`.
+pub(crate) fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;
@@ -248,9 +249,10 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// SplitMix64 finalizer: spreads adjacent seeds (connection indices,
-/// the response-direction `^ 1` tweak) across the whole state space,
-/// and never returns zero, so the xorshift stream is always live.
-fn scramble(seed: u64) -> u64 {
+/// the response-direction `^ 1` tweak, client backoff seeds) across the
+/// whole state space, and never returns zero, so the xorshift stream is
+/// always live.
+pub(crate) fn scramble(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -29,13 +29,14 @@
 //! [`submit_suite`] reproduces the harness's matrix semantics on top
 //! of that: registry benchmarks are serialized and submitted as inline
 //! ParchMint JSON, unknown benchmark/stage selectors become the same
-//! `failed` marker cells `suite-run` emits, and the merged report is
+//! `failed` marker cells `suite-run` emits, the daemon's cells must be
+//! exactly one per requested benchmark × stage, and the merged report is
 //! sorted with [`SuiteReport::sort_cells`] — so a full-suite
 //! submission, stripped of timings, is byte-identical to a local
 //! `suite-run` report.
 
-use crate::protocol;
-use parchmint_harness::{read_outcome, resolve_matrix, Cell, SuiteReport};
+use crate::{chaos, protocol};
+use parchmint_harness::{check_matrix, read_outcome, resolve_matrix, Cell, SuiteReport};
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -182,24 +183,8 @@ impl Backoff {
             base_ms,
             cap_ms: (cap.as_millis() as u64).max(base_ms),
             prev_ms: base_ms,
-            // SplitMix64 finalizer: adjacent seeds diverge immediately,
-            // and the state can never be xorshift's zero fixed point.
-            state: {
-                let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                (z ^ (z >> 31)) | 1
-            },
+            state: chaos::scramble(seed),
         }
-    }
-
-    fn xorshift(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
     }
 
     /// The next pause in the sequence.
@@ -209,7 +194,7 @@ impl Backoff {
             .saturating_mul(3)
             .clamp(self.base_ms + 1, self.cap_ms.max(self.base_ms + 1));
         let span = ceiling - self.base_ms;
-        let ms = self.base_ms + self.xorshift() % span.max(1);
+        let ms = self.base_ms + chaos::xorshift(&mut self.state) % span.max(1);
         self.prev_ms = ms;
         Duration::from_millis(ms)
     }
@@ -599,7 +584,9 @@ fn taxonomy_error(event: &Value) -> ClientError {
 }
 
 /// Submits benchmarks through a daemon and reassembles the same report
-/// `run_suite` would produce locally (see module docs).
+/// `run_suite` would produce locally (see module docs). Fails with
+/// [`ClientError::Protocol`] unless the daemon's cells are exactly one per
+/// resolved benchmark × stage.
 pub fn submit_suite(
     client: &mut Client,
     benchmarks: Option<&[String]>,
@@ -625,6 +612,9 @@ pub fn submit_suite(
     // along in `matrix.bad_cells`).
     let wire_stages = stage_selectors.map(|_| stage_names.as_slice());
     let submission = client.submit_designs(&designs, wire_stages, window)?;
+    let names: Vec<&str> = matrix.benchmarks.iter().map(|b| b.name()).collect();
+    check_matrix(&submission.cells, &names, &stage_names)
+        .map_err(|why| ClientError::Protocol(format!("the daemon's cells: {why}")))?;
 
     let mut cells = submission.cells;
     cells.extend(matrix.bad_cells);
@@ -684,10 +674,13 @@ fn parse_cell(event: &Value) -> Result<Cell, ClientError> {
     let cell = &event["cell"];
     let outcome = cell.as_object().ok_or_else(|| bad("no cell".into()))?;
     let exec = read_outcome(outcome).map_err(bad)?;
+    let name = |member: &str| {
+        (cell[member].as_str()).ok_or_else(|| bad(format!("`{member}` is not a string")))
+    };
     let wall_ms = event["wall_ms"].as_f64().unwrap_or(0.0);
     Ok(Cell::new(
-        cell["benchmark"].as_str().unwrap_or_default(),
-        cell["stage"].as_str().unwrap_or_default(),
+        name("benchmark")?,
+        name("stage")?,
         exec,
         Duration::from_secs_f64(wall_ms.max(0.0) / 1e3),
     ))
@@ -708,6 +701,8 @@ mod tests {
         let seq_b: Vec<Duration> = (0..16).map(|_| b.next_delay()).collect();
         let seq_c: Vec<Duration> = (0..16).map(|_| c.next_delay()).collect();
         assert_eq!(seq_a, seq_b, "same seed, same pause sequence");
+        let pinned = [26, 60, 160, 173, 150, 140, 179, 174].map(Duration::from_millis);
+        assert_eq!(seq_a[..8], pinned, "the seeded sequence is stable");
         assert_ne!(seq_a, seq_c, "different seed decorrelates");
         for pause in &seq_a {
             assert!(*pause >= base && *pause <= cap, "{pause:?} out of bounds");
@@ -739,12 +734,65 @@ mod tests {
             r#"{"benchmark":"b","stage":"s","status":"ok","metrics":[1]}"#,
             r#"{"benchmark":"b","stage":"s","status":"fine"}"#,
             r#"{"benchmark":"b","stage":"s"}"#,
+            r#"{"stage":"s","status":"ok"}"#,
+            r#"{"benchmark":"b","stage":7,"status":"ok"}"#,
             r#""ok""#,
         ] {
             let error = parse_cell(&event(cell)).err();
             assert!(
                 matches!(error, Some(ClientError::Protocol(_))),
                 "{cell}: {error:?}"
+            );
+        }
+    }
+
+    /// Submits `logic_gate_or --stages validate` to a stand-in daemon
+    /// that answers the submission with `cells` and a `done`.
+    fn submit_to_stand_in(cells: &[&str]) -> Result<SuiteSubmission, ClientError> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let cells: Vec<String> = cells.iter().map(|cell| cell.to_string()).collect();
+        let stand_in = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).expect("read");
+            let id = serde_json::from_str::<Value>(&line).expect("a request")["id"].clone();
+            for cell in &cells {
+                writeln!(writer, r#"{{"event":"cell","id":{id},"cell":{cell}}}"#).unwrap();
+            }
+            writeln!(writer, r#"{{"event":"done","id":{id}}}"#).unwrap();
+        });
+        let mut client = Client::connect(&addr).expect("connect");
+        let names = ["logic_gate_or".to_string()];
+        let stages = ["validate".to_string()];
+        let submission = submit_suite(&mut client, Some(&names), Some(&stages), 1);
+        stand_in.join().expect("the stand-in daemon");
+        submission
+    }
+
+    #[test]
+    fn submit_refuses_cells_it_did_not_ask_for() {
+        let cell = |benchmark: &str, stage: &str| {
+            format!(r#"{{"benchmark":"{benchmark}","stage":"{stage}","status":"ok"}}"#)
+        };
+        let asked = cell("logic_gate_or", "validate");
+        let report = submit_to_stand_in(&[&asked])
+            .expect("the asked-for cell")
+            .report;
+        assert_eq!(report.cells.len(), 1);
+        for cells in [
+            vec![r#"{"status":"ok"}"#.to_string()],
+            vec![],
+            vec![cell("logic_gate_or", "flow")],
+            vec![cell("logic_gate_and", "validate")],
+            vec![asked.clone(), asked.clone()],
+        ] {
+            let cells: Vec<&str> = cells.iter().map(String::as_str).collect();
+            let error = submit_to_stand_in(&cells).err();
+            assert!(
+                matches!(error, Some(ClientError::Protocol(_))),
+                "{cells:?}: {error:?}"
             );
         }
     }
