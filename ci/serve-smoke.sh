@@ -11,7 +11,9 @@
 #   4. the HTTP front end answers healthz/submit/stats, a batch body
 #      comes back slot by slot in element order, and a design sent
 #      pretty-printed with its members shuffled gets the compact copy's
-#      cache key,
+#      cache key; then one design's MINT text, sent again over TCP and
+#      over HTTP, is served through the memory tier's MINT index with
+#      zero compiles,
 #   5. the daemon drains cleanly on shutdown, and
 #   6. a *restarted* daemon over the same --cache-dir serves the whole
 #      suite from the disk spill tier — byte-identical again, zero
@@ -219,6 +221,47 @@ assert pretty["key"] == compact["key"], (compact, pretty)
 assert pretty["cached"] is True, pretty
 EOF
 echo "http front end answered healthz, submit, batch, layouts, and stats"
+
+# One design's MINT text three times: twice over TCP, then over HTTP.
+# The last two find the first one's entry by the text alone: both are
+# cached with its key, counted as MINT index hits, and compile nothing.
+target/release/parchmint convert rotary_pump_mixer > "$BODIES/design.mint"
+python3 - "$ADDR" "$HTTP_ADDR" "$BODIES/design.mint" <<'EOF'
+import json, socket, sys, urllib.request
+host, port = sys.argv[1].rsplit(":", 1)
+text = open(sys.argv[3]).read()
+submission = {"op": "submit", "mint": text, "stages": ["validate"]}
+with socket.create_connection((host, int(port))) as conn:
+    reader = conn.makefile()
+    def ask(request):
+        conn.sendall((json.dumps(request) + "\n").encode())
+        while True:
+            event = json.loads(reader.readline())
+            assert event["event"] != "error", event
+            if event["event"] in ("done", "stats"):
+                return event
+    def counters():
+        seen = ask({"op": "stats", "id": "s"})["stats"]["counters"]
+        return (seen.get("cache.mint_hits", 0),
+                seen.get("serve.compile.executed", 0))
+    first = ask(dict(submission, id="m0"))
+    before = counters()
+    repeats = [ask(dict(submission, id="m1"))]
+    post = urllib.request.Request(
+        f"http://{sys.argv[2]}/v1/submit",
+        data=json.dumps(dict(submission, id="m2")).encode(), method="POST")
+    with urllib.request.urlopen(post) as reply:
+        repeats.append(json.load(reply)["events"][-1])
+    after = counters()
+for done in repeats:
+    assert done["event"] == "done", done
+    assert done["cached"] is True, done
+    assert done["key"] == first["key"], (first, done)
+rise = (after[0] - before[0], after[1] - before[1])
+assert rise == (2, 0), f"(mint hits, compiles) rose by {rise}, want (2, 0)"
+print(f"a repeated MINT text was served from the MINT index twice "
+      f"(tcp, http) under key {first['key']} with zero compiles")
+EOF
 
 # --- Phase 5: clean shutdown.
 assert_drained

@@ -244,16 +244,20 @@ fn cmd_validate(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(argv: &[String]) -> Result<(), String> {
-    let args = Args::read("stats", argv, &[], &["--csv", "--markdown", "--json"], "")?;
+    let formats = ["--csv", "--markdown", "--json"];
+    let args = Args::read("stats", argv, &[], &formats, "")?;
+    let given: Vec<&str> = formats.into_iter().filter(|f| args.has(f)).collect();
+    if let [first, second, ..] = given[..] {
+        return Err(format!(
+            "stats: `{first}` and `{second}` both name a format; give one"
+        ));
+    }
     let table = parchmint_stats::characterize_suite();
-    let rendered = if args.has("--csv") {
-        table.render_csv()
-    } else if args.has("--markdown") {
-        table.render_markdown()
-    } else if args.has("--json") {
-        table.render_json()
-    } else {
-        table.render_text()
+    let rendered = match given.first().copied() {
+        Some("--csv") => table.render_csv(),
+        Some("--markdown") => table.render_markdown(),
+        Some(_) => table.render_json(),
+        None => table.render_text(),
     };
     print!("{rendered}");
     Ok(())
@@ -299,13 +303,13 @@ fn cmd_pnr(argv: &[String]) -> Result<(), String> {
     let placer = match args.value("--placer").unwrap_or("annealing") {
         "greedy" => PlacerChoice::Greedy,
         "annealing" => PlacerChoice::Annealing,
-        other => return Err(format!("unknown placer `{other}`")),
+        other => return Err(format!("pnr: unknown placer `{other}`")),
     };
     let router = match args.value("--router").unwrap_or("astar") {
         "straight" => RouterChoice::Straight,
         "astar" => RouterChoice::AStar,
         "negotiate" => RouterChoice::Negotiate,
-        other => return Err(format!("unknown router `{other}`")),
+        other => return Err(format!("pnr: unknown router `{other}`")),
     };
     let report = place_and_route_logged(&mut device, placer, router)?;
     println!("{}", PnrReport::header());
@@ -350,7 +354,7 @@ fn cmd_flow(argv: &[String]) -> Result<(), String> {
         &CompiledDevice::from_ref(&device),
         parchmint_sim::Fluid::WATER,
     );
-    let solution = network.solve(&boundary).map_err(|e| e.to_string())?;
+    let solution = network.solve(&boundary).map_err(|e| format!("flow: {e}"))?;
     println!(
         "{:<20} {:>14} {:>14}",
         "boundary node", "pressure_pa", "flow_nl_s"

@@ -42,24 +42,47 @@ fn parchmint(dir: &Path, args: &[&str]) -> Output {
 
 #[test]
 fn misread_command_lines_exit_1_and_write_nothing() {
-    let cases: [(&str, &[&str]); 5] = [
-        ("pnr", &["pnr", "logic_gate_or", "--routr", "negotiate"]),
-        ("serve", &["serve", "127.0.0.1:9000"]),
-        ("serve", &["serve", "--tcp"]),
-        ("validate", &["validate", "logic_gate_or", "no_such_design"]),
+    // Each refusal is one stderr line, `error: ` and then the beginning
+    // given here: the command, and for a refusal made after reading,
+    // what it refused.
+    let cases: [(&str, &[&str]); 9] = [
+        ("pnr: ", &["pnr", "logic_gate_or", "--routr", "negotiate"]),
+        (
+            "pnr: unknown placer `x`",
+            &["pnr", "logic_gate_or", "--placer", "x"],
+        ),
+        (
+            "pnr: unknown router `x`",
+            &["pnr", "logic_gate_or", "--router", "x"],
+        ),
+        (
+            "flow: boundary names unknown flow node `out`",
+            &["flow", "logic_gate_or", "in_a=1000", "out=0"],
+        ),
+        // Once printed the first of the formats given, as CSV here.
+        (
+            "stats: `--csv` and `--json` both name a format; give one",
+            &["stats", "--json", "--csv"],
+        ),
+        ("serve: ", &["serve", "127.0.0.1:9000"]),
+        ("serve: ", &["serve", "--tcp"]),
+        (
+            "validate: ",
+            &["validate", "logic_gate_or", "no_such_design"],
+        ),
         // `-o` once took `--strip-timings` as its file name, and the
         // switch was read as given as well.
         (
-            "suite-run",
+            "suite-run: ",
             &["suite-run", "-o", "--strip-timings", "logic_gate_or"],
         ),
     ];
-    for (index, (command, args)) in cases.into_iter().enumerate() {
+    for (index, (refusal, args)) in cases.into_iter().enumerate() {
         let dir = fresh_dir(&format!("case{index}"));
         let output = parchmint(&dir, args);
         let (line, stderr) = (args.join(" "), String::from_utf8_lossy(&output.stderr));
         assert_eq!(output.status.code(), Some(1), "`{line}`: {stderr}");
-        let refusal = format!("error: {command}: ");
+        let refusal = format!("error: {refusal}");
         assert!(
             stderr.starts_with(&refusal) && stderr.lines().count() == 1,
             "`{line}` wrote {stderr:?}"

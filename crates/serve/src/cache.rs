@@ -4,10 +4,11 @@
 //!
 //! 1. **Memory** — content hash → [`CacheEntry`] under an LRU index
 //!    with an optional byte budget (`--cache-bytes`). Entries carry an
-//!    approximate byte cost (canonical document + recorded stage
-//!    cells); inserting or growing past the budget evicts
-//!    least-recently-used entries until the total fits again (the
-//!    single most-recently-used entry is always kept, even oversized).
+//!    approximate byte cost (canonical document, recorded stage cells
+//!    and indexed MINT texts); inserting or growing past the budget
+//!    evicts least-recently-used entries until the total fits again
+//!    (the single most-recently-used entry is always kept, even
+//!    oversized).
 //! 2. **Spill** — an optional disk directory (`--cache-dir`) holding
 //!    one atomic file per design (see [`crate::spill`]). Every memory
 //!    insert and stage store is mirrored down, so eviction and daemon
@@ -29,6 +30,17 @@
 //! A key holding another design's text is a [`Lookup::Collision`]:
 //! counted as a miss and under `cache.collisions`, and the request runs
 //! uncached.
+//!
+//! The memory tier also indexes entries by MINT text: a cacheable MINT
+//! submission served from an entry leaves its exact text pointing at
+//! that entry's key (`index_mint`), so the same text sent again finds
+//! the entry without being parsed, converted or hashed (`lookup_mint`).
+//! Only an entry that already matched the text's canonical document is
+//! indexed, and only an identical text finds it. The key is still the
+//! converted design's canonical hash, so MINT, registry and inline-JSON
+//! submissions of one device share one entry. Each text is charged to
+//! its entry's bytes and leaves the index when the entry is evicted;
+//! the index has no bound of its own.
 //!
 //! The cache keeps no counters of its own: every hit, miss, collision
 //! and eviction is an obs count (`cache.*`) emitted to the thread's
@@ -168,6 +180,12 @@ fn stage_cost(exec: &StageExec) -> u64 {
     96 + detail + metrics
 }
 
+/// Approximate resident cost of one indexed MINT text: the text, its
+/// index slot and its place on the entry's list.
+fn mint_cost(text: &str) -> u64 {
+    64 + text.len() as u64
+}
+
 /// Which tier a counted hit came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitTier {
@@ -192,11 +210,16 @@ struct Slot {
     entry: Arc<CacheEntry>,
     bytes: u64,
     tick: u64,
+    /// The MINT texts indexed to this entry, which leave with it.
+    mint: Vec<Arc<str>>,
 }
 
 #[derive(Default)]
 struct MemoryTier {
     entries: HashMap<u64, Slot>,
+    /// Exact MINT text → the key of the resident entry its converted
+    /// design is cached under.
+    mint: HashMap<Arc<str>, u64>,
     /// Recency index: strictly increasing touch tick → key. The lowest
     /// tick is the least recently used entry.
     recency: BTreeMap<u64, u64>,
@@ -225,6 +248,9 @@ impl MemoryTier {
             };
             self.recency.remove(&tick);
             if let Some(slot) = self.entries.remove(&key) {
+                for text in &slot.mint {
+                    self.mint.remove(text);
+                }
                 self.bytes = self.bytes.saturating_sub(slot.bytes);
                 entries += 1;
                 bytes += slot.bytes;
@@ -308,6 +334,46 @@ impl TieredCache {
         Lookup::Hit(entry, HitTier::Memory)
     }
 
+    /// The key and resident entry an identical MINT `text` was indexed
+    /// to. A hit counts once under `cache.memory_hits` and once under
+    /// `cache.mint_hits`; a miss counts nothing, since the submission
+    /// then resolves its design and probes the tiers like any other.
+    pub(crate) fn lookup_mint(&self, text: &str) -> Option<(u64, Arc<CacheEntry>)> {
+        let mut memory = self.memory.lock().expect("cache lock");
+        let key = *memory.mint.get(text)?;
+        let entry = Arc::clone(&memory.entries.get(&key)?.entry);
+        memory.touch(key);
+        drop(memory);
+        parchmint_obs::count("cache.memory_hits", 1);
+        parchmint_obs::count("cache.mint_hits", 1);
+        Some((key, entry))
+    }
+
+    /// Indexes the MINT `text` to `entry`, which its converted design
+    /// was just served from under `key`, and charges the text to that
+    /// entry's bytes (evicting if the budget overflows). Does nothing
+    /// when the text is already indexed or `entry` is no longer the one
+    /// resident under `key`.
+    pub(crate) fn index_mint(&self, text: &str, key: u64, entry: &Arc<CacheEntry>) {
+        let mut memory = self.memory.lock().expect("cache lock");
+        if memory.mint.contains_key(text) {
+            return;
+        }
+        let Some(slot) = memory.entries.get_mut(&key) else {
+            return;
+        };
+        if !Arc::ptr_eq(&slot.entry, entry) {
+            return;
+        }
+        let text: Arc<str> = Arc::from(text);
+        let cost = mint_cost(&text);
+        slot.bytes += cost;
+        slot.mint.push(Arc::clone(&text));
+        memory.mint.insert(text, key);
+        memory.bytes += cost;
+        self.enforce_budget(&mut memory);
+    }
+
     /// Rehydrates `key` from the spill tier into memory.
     fn load_spill(&self, key: u64, doc: &str) -> Lookup {
         let Some(loaded) = self.spill.as_ref().and_then(|s| s.load(&hash::hex(key))) else {
@@ -373,6 +439,7 @@ impl TieredCache {
                 entry: Arc::clone(&entry),
                 bytes,
                 tick,
+                mint: Vec::new(),
             },
         );
         memory.recency.insert(tick, key);
@@ -609,6 +676,67 @@ mod tests {
             );
         });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_mint_text_finds_its_entry_and_is_charged_to_it() {
+        let cache = TieredCache::new();
+        let resident = cache.insert(4, entry("a"));
+        let before = cache.bytes();
+        counting(|count| {
+            cache.index_mint("DEVICE a", 4, &resident);
+            assert_eq!(cache.bytes(), before + mint_cost("DEVICE a"));
+            let (key, found) = cache.lookup_mint("DEVICE a").expect("indexed");
+            assert_eq!(key, 4);
+            assert!(Arc::ptr_eq(&found, &resident));
+            // Only the identical text matches, and a miss counts nothing.
+            assert!(cache.lookup_mint("DEVICE a ").is_none());
+            assert!(cache.lookup_mint("DEVICE  a").is_none());
+            assert_eq!(
+                (count("cache.memory_hits"), count("cache.mint_hits")),
+                (1, 1)
+            );
+            assert_eq!(count("cache.misses"), 0);
+        });
+        // Indexing the same text again charges nothing more.
+        cache.index_mint("DEVICE a", 4, &resident);
+        assert_eq!(cache.bytes(), before + mint_cost("DEVICE a"));
+    }
+
+    #[test]
+    fn only_the_resident_entry_is_indexed() {
+        let cache = TieredCache::new();
+        let resident = cache.insert(4, entry("a"));
+        let before = cache.bytes();
+        // Another entry for the key (a collision's unstored entry, or one
+        // evicted and replaced) and an empty key are not indexed.
+        cache.index_mint("DEVICE a", 4, &entry("a"));
+        cache.index_mint("DEVICE a", 5, &resident);
+        assert!(cache.lookup_mint("DEVICE a").is_none());
+        assert_eq!(cache.bytes(), before);
+    }
+
+    #[test]
+    fn eviction_takes_the_index_with_its_entry() {
+        let budget = entry("a").total_cost() * 2 + mint_cost("DEVICE a") + 32;
+        let cache = TieredCache::with_limits(Some(budget), None::<PathBuf>);
+        let resident = cache.insert(1, entry("a"));
+        cache.index_mint("DEVICE a", 1, &resident);
+        cache.insert(2, entry("b"));
+        assert_eq!(cache.len(), 2, "the index fits the budget");
+        counting(|count| {
+            cache.insert(3, entry("c"));
+            assert_eq!(cache.lru_keys(), vec![2, 3], "the LRU entry went");
+            assert_eq!(count("cache.evicted.entries"), 1);
+            let evicted = resident.total_cost() + mint_cost("DEVICE a");
+            assert_eq!(count("cache.evicted.bytes"), evicted, "its text went too");
+        });
+        assert!(cache.lookup_mint("DEVICE a").is_none());
+        // The design cached again under its key is not reached by the
+        // dropped text until a MINT submission indexes it anew.
+        cache.insert(1, entry("a"));
+        assert!(cache.lookup_mint("DEVICE a").is_none());
+        assert!(cache.bytes() <= budget);
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub enum DesignSource {
     /// Inline ParchMint JSON, as its canonical text (see [`crate::hash`]):
     /// the request parser writes it straight from the request bytes.
     Json(String),
-    /// MINT source text, converted on arrival.
+    /// MINT source text, converted on arrival unless the cache's MINT
+    /// index already holds this exact text.
     Mint(String),
     /// A benchmark name resolved against the built-in registry.
     Benchmark(String),

@@ -14,11 +14,18 @@
 //! registry designs are canonicalized from their device's own JSON), so
 //! the cache key is one hash of that text, and a hit replays its entry
 //! without building a `Device` at all. Only a miss parses the document.
+//! Reaching a MINT text's canonical text means parsing and converting
+//! it, so a cacheable MINT submission served from an entry indexes its
+//! exact text to that entry in the memory tier. The same text sent
+//! again is found there first, counted under `cache.memory_hits` and
+//! `cache.mint_hits`, and is never parsed, converted, canonicalized or
+//! hashed.
 //!
 //! Cache discipline, per artifact:
 //!
-//! 1. probe the [`TieredCache`] (memory, then spill) — an entry is used
-//!    only if its stored text is the request's;
+//! 1. probe the [`TieredCache`] (the MINT index for a MINT text, then
+//!    memory, then spill) — an entry is used only if its stored text is
+//!    the request's, or it is indexed to the request's exact MINT text;
 //! 2. on a miss, join the [`SingleFlight`] table for the artifact's
 //!    key — the leader computes and publishes, every concurrent
 //!    duplicate parks (counted under `cache.coalesced`) and replays the
@@ -33,8 +40,8 @@
 //! unconditioned — no deadline, no fuel, no armed fault plan. Bounded
 //! or fault-injected runs execute fresh every time and their results
 //! are never stored, so a degraded partial result can never be
-//! replayed to a clean request. A submission whose key holds another
-//! design's entry runs the same way.
+//! replayed to a clean request, and they never take the MINT index. A
+//! submission whose key holds another design's entry runs the same way.
 
 use crate::cache::{CacheEntry, Lookup, TieredCache};
 use crate::flight::{Flight, SingleFlight};
@@ -439,6 +446,10 @@ impl Service {
 
     /// Resolves a design source to the canonical document its cache key
     /// is derived from, plus the device when resolving had to build one.
+    /// MINT and registry sources build their device, serialize it and
+    /// canonicalize the JSON on every call; a repeated MINT text skips
+    /// this through the memory tier's MINT index (see
+    /// `resolve_and_compile`).
     fn resolve<'s>(
         &self,
         source: &'s DesignSource,
@@ -507,38 +518,26 @@ impl Service {
     /// Streams a submission's `cell` events through `emit` and returns
     /// its final event, `done` or `error`, for the caller to send last.
     fn run_submission(&self, request: &SubmitRequest, emit: &mut dyn FnMut(Value)) -> Value {
-        let (doc, mut device) = match self.resolve(&request.source) {
+        let policy = self.policy_for(request);
+        // Compile: shared from the cache / an in-flight duplicate when
+        // possible, fresh otherwise. A repeated MINT text skips
+        // resolving and hashing altogether.
+        let (key, outcome, faults) = match self.resolve_and_compile(request, &policy) {
             Ok(resolved) => resolved,
             Err(error) => return error_event(&request.id, &error),
         };
-        let key = hash::canonical_hash(&doc);
-        let policy = self.policy_for(request);
-        // The fault plan is matched by design name, so an armed plan
-        // needs the device before the cache is consulted.
-        if device.is_none() && self.config.faults.is_some() {
-            match parse_design(&doc) {
-                Ok(parsed) => device = Some(parsed),
-                Err(error) => return error_event(&request.id, &error),
-            }
-        }
-        let faults = device.as_ref().and_then(|d| self.faults_for(&d.name));
-        let cacheable = !policy.is_bounded() && faults.is_none();
         let (selected, unknown) = select_stages(&self.stages, request.stages.as_deref());
-
-        // Compile: shared from the cache / an in-flight duplicate when
-        // possible, fresh otherwise.
-        let (design, compiled) =
-            match self.obtain_compile(key, &doc, device, faults.as_ref(), cacheable) {
-                CompileOutcome::Hit(entry) => (entry.design().to_string(), Ok((entry, None, true))),
-                CompileOutcome::Published(entry, wall) => {
-                    (entry.design().to_string(), Ok((entry, Some(wall), true)))
-                }
-                CompileOutcome::Uncached(entry, wall) => {
-                    (entry.design().to_string(), Ok((entry, Some(wall), false)))
-                }
-                CompileOutcome::Invalid(error) => return error_event(&request.id, &error),
-                CompileOutcome::Panicked(design, panic) => (design, Err(panic)),
-            };
+        let (design, compiled) = match outcome {
+            CompileOutcome::Hit(entry) => (entry.design().to_string(), Ok((entry, None, true))),
+            CompileOutcome::Published(entry, wall) => {
+                (entry.design().to_string(), Ok((entry, Some(wall), true)))
+            }
+            CompileOutcome::Uncached(entry, wall) => {
+                (entry.design().to_string(), Ok((entry, Some(wall), false)))
+            }
+            CompileOutcome::Invalid(error) => return error_event(&request.id, &error),
+            CompileOutcome::Panicked(design, panic) => (design, Err(panic)),
+        };
 
         // Unknown selectors fail first; then each selected stage runs, or
         // fails as the harness fails it when the compile panicked.
@@ -597,6 +596,43 @@ impl Service {
             compile_ms,
             unknown.len() + selected.len(),
         )
+    }
+
+    /// Resolves the submission's design to its key and gets its compile,
+    /// with the fault plan armed for it. A cacheable MINT text is first
+    /// looked up in the memory tier's MINT index, which skips its parse,
+    /// conversion, serialization and hash; one that resolves to a cached
+    /// entry is indexed to it. A fault plan armed for a design keeps
+    /// every submission of it uncached, so its texts are never indexed.
+    fn resolve_and_compile(
+        &self,
+        request: &SubmitRequest,
+        policy: &ExecPolicy,
+    ) -> Result<(u64, CompileOutcome, Option<Arc<FaultPlan>>), WireError> {
+        let mint = match &request.source {
+            DesignSource::Mint(text) if !policy.is_bounded() => Some(text),
+            _ => None,
+        };
+        if let Some((key, entry)) = mint.and_then(|text| self.cache.lookup_mint(text)) {
+            parchmint_obs::count("serve.compile.replayed", 1);
+            return Ok((key, CompileOutcome::Hit(entry), None));
+        }
+        let (doc, mut device) = self.resolve(&request.source)?;
+        let key = hash::canonical_hash(&doc);
+        // The fault plan is matched by design name, so an armed plan
+        // needs the device before the cache is consulted.
+        if device.is_none() && self.config.faults.is_some() {
+            device = Some(parse_design(&doc)?);
+        }
+        let faults = device.as_ref().and_then(|d| self.faults_for(&d.name));
+        let cacheable = !policy.is_bounded() && faults.is_none();
+        let outcome = self.obtain_compile(key, &doc, device, faults.as_ref(), cacheable);
+        if let (Some(text), CompileOutcome::Hit(entry) | CompileOutcome::Published(entry, _)) =
+            (mint, &outcome)
+        {
+            self.cache.index_mint(text, key, entry);
+        }
+        Ok((key, outcome, faults))
     }
 
     /// Gets the compile artifact for the canonical document `doc`: from

@@ -3,6 +3,8 @@
 //! insensitive to whitespace and member order by construction — the
 //! streamed canonical writer agrees with printing the parsed tree.
 
+use parchmint::Device;
+use parchmint_resilience::{FaultKind, FaultPlan, FaultSpec};
 use parchmint_serve::hash::{canonical_string, canonical_text, content_hash, hash_json_str, hex};
 use parchmint_serve::protocol::{DesignSource, SubmitRequest};
 use parchmint_serve::{ServeConfig, Service};
@@ -11,17 +13,65 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use serde_json::Value;
 
-fn submit(service: &Service, source: DesignSource) -> Vec<Value> {
-    let request = SubmitRequest {
+/// A submission of `source` through the full stage matrix.
+fn request(source: DesignSource) -> SubmitRequest {
+    SubmitRequest {
         id: Value::from("t"),
         source,
         stages: None,
         deadline_ms: None,
         fuel: None,
-    };
+    }
+}
+
+/// A submission of `source` through `validate` alone.
+fn validate(source: DesignSource) -> SubmitRequest {
+    SubmitRequest {
+        stages: Some(vec!["validate".to_string()]),
+        ..request(source)
+    }
+}
+
+fn run(service: &Service, request: &SubmitRequest) -> Vec<Value> {
     let mut events = Vec::new();
-    service.process_submit(&request, &mut |event| events.push(event));
+    service.process_submit(request, &mut |event| events.push(event));
     events
+}
+
+fn submit(service: &Service, source: DesignSource) -> Vec<Value> {
+    run(service, &request(source))
+}
+
+/// How much the daemon has counted under `name` so far.
+fn counter(service: &Service, name: &str) -> u64 {
+    service.stats_json()["counters"][name].as_u64().unwrap_or(0)
+}
+
+fn registry_device(name: &str) -> Device {
+    parchmint_suite::by_name(name)
+        .expect("registered benchmark")
+        .device()
+}
+
+fn mint_text(device: &Device) -> String {
+    parchmint_mint::print(&parchmint_mint::device_to_mint(device))
+}
+
+/// The device a MINT text converts to.
+fn converted(text: &str) -> Device {
+    let file = parchmint_mint::parse(text).expect("printed MINT parses");
+    parchmint_mint::mint_to_device(&file).expect("printed MINT converts")
+}
+
+fn canonical_json(device: &Device) -> String {
+    canonical_text(&device.to_json().expect("serializes")).expect("parses")
+}
+
+/// The `done` event a submission ended with.
+fn done(events: &[Value]) -> &Value {
+    let last = events.last().expect("an event");
+    assert_eq!(last["event"], Value::from("done"), "{events:?}");
+    last
 }
 
 /// Strips the wall-clock fields and the cache provenance flag, leaving
@@ -82,19 +132,199 @@ fn resubmitting_the_same_design_replays_every_stage_from_cache() {
 
 #[test]
 fn benchmark_mint_and_json_submissions_share_one_cache_entry() {
-    // The same design arriving by registry name, as MINT text, and as
-    // inline JSON must hash to the same key: the canonical document is
-    // derived from the device, not from the transport encoding.
+    // The cache key is derived from the device, not from the transport
+    // encoding: a design by registry name shares its entry with its own
+    // inline JSON, and a MINT text with the inline JSON of the device it
+    // converts to. MINT does not round-trip, so that is another device
+    // than the registry's, with an entry of its own.
     let service = Service::new(ServeConfig::default());
-    let device = parchmint_suite::by_name("logic_gate_or")
-        .expect("registered benchmark")
-        .device();
-    let json = canonical_text(&device.to_json().expect("serializes")).unwrap();
+    let device = registry_device("logic_gate_or");
+    let text = mint_text(&device);
+    let original = canonical_json(&device);
+    let round_tripped = canonical_json(&converted(&text));
+    assert_ne!(original, round_tripped, "MINT does not round-trip");
 
-    submit(&service, DesignSource::Benchmark("logic_gate_or".into()));
-    let second = submit(&service, DesignSource::Json(json));
-    assert_eq!(second[0]["cached"], Value::from(true));
+    let by_name = run(
+        &service,
+        &validate(DesignSource::Benchmark("logic_gate_or".into())),
+    );
+    let inline = run(&service, &validate(DesignSource::Json(original)));
+    assert_eq!(inline[0]["cached"], Value::from(true));
+    assert_eq!(done(&inline)["key"], done(&by_name)["key"]);
     assert_eq!(service.cache().len(), 1, "one entry, two encodings");
+
+    let mint = run(&service, &validate(DesignSource::Mint(text)));
+    assert_eq!(
+        mint[0]["cached"],
+        Value::from(false),
+        "not the original's entry"
+    );
+    assert_ne!(done(&mint)["key"], done(&by_name)["key"]);
+    let inline = run(&service, &validate(DesignSource::Json(round_tripped)));
+    assert_eq!(inline[0]["cached"], Value::from(true));
+    assert_eq!(done(&inline)["key"], done(&mint)["key"]);
+    assert_eq!(service.cache().len(), 2, "one entry per device");
+}
+
+#[test]
+fn a_repeated_mint_text_replays_its_entry_through_the_index() {
+    let service = Service::new(ServeConfig::default());
+    let text = mint_text(&registry_device("logic_gate_or"));
+    // Cold as inline JSON, then the first warm hit by MINT, which
+    // resolves the text and indexes it, then the same text again.
+    let cold = submit(
+        &service,
+        DesignSource::Json(canonical_json(&converted(&text))),
+    );
+    let bytes = |service: &Service| service.stats_json()["cache"]["bytes"].as_u64().unwrap();
+    let cold_bytes = bytes(&service);
+    let resolved = submit(&service, DesignSource::Mint(text.clone()));
+    assert_eq!(counter(&service, "cache.mint_hits"), 0);
+    let indexed_bytes = bytes(&service);
+    assert!(
+        indexed_bytes >= cold_bytes + text.len() as u64,
+        "the text is charged to its entry: {cold_bytes} -> {indexed_bytes}"
+    );
+    let indexed = submit(&service, DesignSource::Mint(text));
+    assert_eq!(counter(&service, "cache.mint_hits"), 1);
+    for event in &indexed {
+        assert_eq!(event["cached"], Value::from(true), "{event}");
+    }
+    assert_eq!(
+        serde_json::to_string(&stripped(&indexed)).unwrap(),
+        serde_json::to_string(&stripped(&resolved)).unwrap(),
+        "the index replays what resolving the text replays"
+    );
+    assert_eq!(stripped(&indexed), stripped(&cold));
+
+    let stats = service.stats_json();
+    let cache = &stats["cache"];
+    assert_eq!(
+        (&cache["memory_hits"], &cache["misses"]),
+        (&2.into(), &1.into()),
+        "an index hit counts once as a memory hit"
+    );
+    assert_eq!(bytes(&service), indexed_bytes, "a hit charges nothing");
+    assert_eq!(counter(&service, "serve.compile.executed"), 1);
+    assert_eq!(counter(&service, "serve.compile.replayed"), 2);
+}
+
+#[test]
+fn a_text_one_byte_off_misses_the_index_and_resolves() {
+    let service = Service::new(ServeConfig::default());
+    let text = mint_text(&registry_device("logic_gate_or"));
+    let first = run(&service, &validate(DesignSource::Mint(text.clone())));
+    // One more trailing newline: the same device, another text.
+    let variant = format!("{text}\n");
+    assert_eq!(converted(&variant).name, converted(&text).name);
+    let second = run(&service, &validate(DesignSource::Mint(variant.clone())));
+    assert_eq!(
+        counter(&service, "cache.mint_hits"),
+        0,
+        "not the indexed text"
+    );
+    assert_eq!(
+        second[0]["cached"],
+        Value::from(true),
+        "resolved to the entry"
+    );
+    assert_eq!(done(&second)["key"], done(&first)["key"]);
+    let cache = &service.stats_json()["cache"];
+    assert_eq!(
+        (&cache["memory_hits"], &cache["misses"]),
+        (&1.into(), &1.into())
+    );
+    // Resolving indexed the variant too.
+    run(&service, &validate(DesignSource::Mint(variant)));
+    assert_eq!(counter(&service, "cache.mint_hits"), 1);
+    assert_eq!(service.cache().len(), 1);
+}
+
+#[test]
+fn an_evicted_entry_takes_its_index_with_it() {
+    // One byte of budget keeps only the most recent entry.
+    let service = Service::new(ServeConfig::builder().cache_bytes(1).build());
+    let text = mint_text(&registry_device("logic_gate_or"));
+    let first = run(&service, &validate(DesignSource::Mint(text.clone())));
+    run(
+        &service,
+        &validate(DesignSource::Benchmark("rotary_pump_mixer".into())),
+    );
+    assert_eq!(counter(&service, "cache.evicted.entries"), 1);
+
+    let again = run(&service, &validate(DesignSource::Mint(text.clone())));
+    assert_eq!(counter(&service, "cache.mint_hits"), 0, "the index went");
+    assert_eq!(service.stats_json()["cache"]["misses"], Value::from(3u64));
+    assert_eq!(counter(&service, "serve.compile.executed"), 3);
+    assert_eq!(again[0]["cached"], Value::from(false));
+    assert_eq!(
+        stripped(&again),
+        stripped(&first),
+        "its own design, not another"
+    );
+
+    // Compiled and cached again, the text is indexed again.
+    run(&service, &validate(DesignSource::Mint(text)));
+    assert_eq!(counter(&service, "cache.mint_hits"), 1);
+}
+
+#[test]
+fn bounded_submissions_never_take_the_index() {
+    let service = Service::new(ServeConfig::default());
+    let text = mint_text(&registry_device("logic_gate_or"));
+    run(&service, &validate(DesignSource::Mint(text.clone())));
+    let deadline = SubmitRequest {
+        deadline_ms: Some(60_000),
+        ..validate(DesignSource::Mint(text.clone()))
+    };
+    let fuel = SubmitRequest {
+        fuel: Some(u64::MAX),
+        ..validate(DesignSource::Mint(text.clone()))
+    };
+    for bounded in [deadline, fuel] {
+        let events = run(&service, &bounded);
+        assert_eq!(events[0]["cached"], Value::from(false), "{events:?}");
+        assert_eq!(done(&events)["cached"], Value::from(false));
+    }
+    assert_eq!(counter(&service, "cache.mint_hits"), 0);
+    assert_eq!(counter(&service, "serve.compile.executed"), 3);
+    // The unbounded text still finds its entry.
+    run(&service, &validate(DesignSource::Mint(text)));
+    assert_eq!(counter(&service, "cache.mint_hits"), 1);
+}
+
+/// A daemon with `site` armed to panic for `benchmark`.
+fn faulted_service(benchmark: &str) -> Service {
+    let mut plan = FaultPlan::new();
+    plan.push(FaultSpec {
+        benchmark: Some(benchmark.to_string()),
+        site: "serve.cache.test".to_string(),
+        fault: FaultKind::Panic,
+    });
+    Service::new(ServeConfig::builder().faults(Some(plan)).build())
+}
+
+#[test]
+fn a_fault_plan_armed_for_the_design_never_takes_the_index() {
+    let text = mint_text(&registry_device("logic_gate_or"));
+    assert_eq!(converted(&text).name, "logic_gate_or");
+    // Armed for the design: nothing of it is cached, so its text is
+    // never indexed, and every submission compiles afresh.
+    let service = faulted_service("logic_gate_or");
+    for _ in 0..3 {
+        let events = run(&service, &validate(DesignSource::Mint(text.clone())));
+        assert_eq!(events[0]["cached"], Value::from(false), "{events:?}");
+    }
+    assert_eq!(counter(&service, "cache.mint_hits"), 0);
+    assert_eq!(counter(&service, "serve.compile.executed"), 3);
+
+    // Armed for another design only: the text is served by the index.
+    let service = faulted_service("rotary_pump_mixer");
+    for _ in 0..3 {
+        run(&service, &validate(DesignSource::Mint(text.clone())));
+    }
+    assert_eq!(counter(&service, "cache.mint_hits"), 2);
+    assert_eq!(counter(&service, "serve.compile.executed"), 1);
 }
 
 #[test]
