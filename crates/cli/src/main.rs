@@ -183,6 +183,14 @@ fn write_file(path: &str, content: &str) -> Result<(), String> {
     std::fs::write(path, content).map_err(|e| format!("cannot write `{path}`: {e}"))
 }
 
+/// `value` as every JSON file and listing of the CLI is written:
+/// pretty-printed, with a trailing newline.
+fn json_text(value: &serde_json::Value) -> String {
+    let mut text = serde_json::to_string_pretty(value).expect("a JSON value serializes");
+    text.push('\n');
+    text
+}
+
 /// Writes `content` to `output`, or to stdout when there is none.
 fn write_output(output: Option<&str>, content: &str) -> Result<(), String> {
     match output {
@@ -210,10 +218,7 @@ fn cmd_list(argv: &[String]) -> Result<(), String> {
 
 fn cmd_schema(argv: &[String]) -> Result<(), String> {
     Args::read("schema", argv, &[], &[], "")?;
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&parchmint::schema::json_schema()).expect("schema serializes")
-    );
+    print!("{}", json_text(&parchmint::schema::json_schema()));
     Ok(())
 }
 
@@ -408,18 +413,18 @@ fn cmd_suite_run(argv: &[String]) -> Result<(), String> {
 
     let include_timings = !args.has("--strip-timings");
     if let Some(path) = args.value("-o") {
-        write_file(path, &report.to_json_string(include_timings))?;
+        write_file(path, &json_text(&report.to_json(include_timings)))?;
         println!("report written to {path}");
     }
 
     if let Some(path) = trace_path {
-        write_file(path, &report.trace_json_string(include_timings))?;
+        write_file(path, &json_text(&report.trace_json(include_timings)))?;
         println!("trace written to {path}");
     }
 
     if let Some(path) = args.value("--pareto") {
-        let pareto = parchmint_harness::pareto_json_string(&report, include_timings);
-        write_file(path, &pareto)?;
+        let pareto = parchmint_harness::pareto_json(&report, include_timings);
+        write_file(path, &json_text(&pareto))?;
         println!("pareto sweep written to {path}");
     }
 
@@ -523,10 +528,8 @@ fn read_json(path: &str) -> Result<serde_json::Value, String> {
 fn cmd_quality_baseline(argv: &[String]) -> Result<(), String> {
     let args = Args::read("quality-baseline", argv, &["-o"], &[], "<REPORT.json>")?;
     let report = read_json(args.positionals[0])?;
-    write_output(
-        args.value("-o"),
-        &parchmint_harness::quality_baseline_string(&report),
-    )
+    let baseline = parchmint_harness::quality_baseline_json(&report);
+    write_output(args.value("-o"), &json_text(&baseline))
 }
 
 fn cmd_quality_check(argv: &[String]) -> Result<(), String> {
@@ -738,15 +741,12 @@ fn cmd_submit(argv: &[String]) -> Result<(), String> {
 
     let include_timings = !args.has("--strip-timings");
     if let Some(path) = args.value("-o") {
-        write_file(path, &report.to_json_string(include_timings))?;
+        write_file(path, &json_text(&report.to_json(include_timings)))?;
         println!("report written to {path}");
     }
     if let Some(path) = args.value("--stats-out") {
         let stats = client.stats().map_err(|e| format!("submit: {e}"))?;
-        let mut text =
-            serde_json::to_string_pretty(&stats).expect("stats serialization is infallible");
-        text.push('\n');
-        write_file(path, &text)?;
+        write_file(path, &json_text(&stats))?;
         println!("daemon stats written to {path}");
     }
     if args.has("--shutdown") {

@@ -223,6 +223,14 @@ impl Rect {
         }
     }
 
+    /// A thin rectangle standing in for the rectilinear segment `a`–`b`:
+    /// zero-extent axes are widened to 1 µm, so [`Rect::intersects`] sees
+    /// the segment's interior.
+    pub fn of_segment(a: Point, b: Point) -> Self {
+        let r = Rect::from_corners(a, b);
+        Rect::new(r.min, Span::new(r.span.x.max(1), r.span.y.max(1)))
+    }
+
     /// The corner opposite [`Rect::min`] (exclusive).
     pub fn max(self) -> Point {
         Point::new(self.min.x + self.span.x, self.min.y + self.span.y)
@@ -401,6 +409,17 @@ mod tests {
         let a = Rect::new(Point::new(0, 0), Span::new(10, 10));
         let b = Rect::new(Point::new(10, 0), Span::new(10, 10));
         assert!(!a.intersects(b));
+    }
+
+    #[test]
+    fn segment_rects_are_one_micron_thick() {
+        let horizontal = Rect::of_segment(Point::new(10, 5), Point::new(0, 5));
+        assert_eq!(horizontal, Rect::new(Point::new(0, 5), Span::new(10, 1)));
+        let vertical = Rect::of_segment(Point::new(3, 0), Point::new(3, 8));
+        assert_eq!(vertical.span, Span::new(1, 8));
+        let point = Rect::of_segment(Point::new(3, 3), Point::new(3, 3));
+        assert_eq!(point.span, Span::new(1, 1));
+        assert!(horizontal.intersects(Rect::of_segment(Point::new(4, 0), Point::new(4, 9))));
     }
 
     #[test]

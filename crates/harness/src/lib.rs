@@ -61,10 +61,9 @@ pub use engine::{compile_device, execute_stage, CompileExec, ExecPolicy};
 pub use matrix::{
     check_matrix, resolve_matrix, select_benchmarks, select_stages, stage_matches, ResolvedMatrix,
 };
-pub use pareto::{pareto_json, pareto_json_string, pareto_rows, ParetoPoint, ParetoRow};
+pub use pareto::{pareto_json, pareto_rows, ParetoPoint, ParetoRow};
 pub use quality::{
-    compare_quality, quality_baseline_json, quality_baseline_string, report_diff,
-    QualityRegression, QUALITY_SCHEMA,
+    compare_quality, quality_baseline_json, report_diff, QualityRegression, QUALITY_SCHEMA,
 };
 pub use report::{
     read_outcome, write_outcome, Cell, CellStatus, StageExec, StatusCounts, SuiteReport,

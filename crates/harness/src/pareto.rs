@@ -172,14 +172,6 @@ pub fn pareto_json(report: &SuiteReport, include_timings: bool) -> Value {
     Value::Object(root)
 }
 
-/// Pretty-printed JSON string of [`pareto_json`], newline-terminated.
-pub fn pareto_json_string(report: &SuiteReport, include_timings: bool) -> String {
-    let mut text = serde_json::to_string_pretty(&pareto_json(report, include_timings))
-        .expect("pareto serialization is infallible");
-    text.push('\n');
-    text
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +291,6 @@ mod tests {
         assert_eq!(points[1]["frontier"], false);
         let timed = pareto_json(&report, true);
         assert!(timed["timing"]["chip/pnr:greedy+astar"].as_f64().is_some());
-        assert!(pareto_json_string(&report, false).ends_with('\n'));
     }
 
     #[test]

@@ -116,14 +116,6 @@ pub fn quality_baseline_json(report: &Value) -> Value {
     Value::Object(root)
 }
 
-/// Pretty-printed, newline-terminated string of [`quality_baseline_json`].
-pub fn quality_baseline_string(report: &Value) -> String {
-    let mut text = serde_json::to_string_pretty(&quality_baseline_json(report))
-        .expect("baseline serialization is infallible");
-    text.push('\n');
-    text
-}
-
 /// Reads the (relative, absolute) tolerance for `metric` from the
 /// baseline's `tolerances` section, defaulting to zero slack for metrics
 /// the baseline doesn't mention.
@@ -334,7 +326,6 @@ mod tests {
         assert!(cell.get("routed").is_none(), "non-gated metrics excluded");
         assert!(baseline["cells"].get("chip/validate").is_none());
         assert_eq!(baseline["tolerances"]["wirelength"]["relative"], 0.02);
-        assert!(quality_baseline_string(&report(1000, 0)).ends_with('\n'));
     }
 
     #[test]

@@ -391,15 +391,6 @@ impl SuiteReport {
         Value::Object(root)
     }
 
-    /// Pretty-printed JSON string of [`SuiteReport::trace_json`], with a
-    /// trailing newline.
-    pub fn trace_json_string(&self, include_timings: bool) -> String {
-        let mut text = serde_json::to_string_pretty(&self.trace_json(include_timings))
-            .expect("trace serialization is infallible");
-        text.push('\n');
-        text
-    }
-
     /// Human summary: one row per benchmark, one column per stage, plus a
     /// totals line.
     pub fn summary_table(&self) -> String {
@@ -688,6 +679,5 @@ mod tests {
         assert!(timed["timing"]["b/validate"]["verify.structure"]
             .as_f64()
             .is_some());
-        assert!(report.trace_json_string(false).ends_with('\n'));
     }
 }

@@ -9,9 +9,9 @@ use std::fmt;
 use std::time::Duration;
 
 /// Cell size used when rasterizing routes for the congestion metric, in
-/// µm. Matches the routing grid's default cell so the metric counts the
-/// same corridors the routers negotiate over.
-pub const CONGESTION_CELL: i64 = 200;
+/// µm: the routing lattice's cell, so the metric counts the same
+/// corridors the routers negotiate over.
+pub const CONGESTION_CELL: i64 = crate::route::CELL;
 
 /// Maximum number of distinct nets crossing any one `cell`-sized grid
 /// square — the congestion hot-spot depth. `1` means perfectly disjoint

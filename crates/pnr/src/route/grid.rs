@@ -8,7 +8,7 @@
 //!
 //! Routed channels wall sinks in, so many searches have no path. A pure
 //! A* proves that only by popping every state reachable from its source.
-//! The kernel, [`Search`], can instead run a flood out from the goal in
+//! The kernel, `Search`, can instead run a flood out from the goal in
 //! lockstep with the A*, one flood step per heap pop over the same window
 //! and the same passable cells. A flood that runs out of cells without
 //! touching the start proves the goal unreachable, and the search ends at
@@ -19,7 +19,7 @@
 //! can never improve a neighbour, so the kernel does not push it. Both
 //! shortcuts only remove pops; every route stays the same.
 
-use super::{RoutedNet, Router, RoutingResult};
+use super::{count, nets, Net, Router, RoutingResult, BEND_PENALTY, CELL, CLEARANCE, STEP_COST};
 use parchmint::geometry::{Point, Rect};
 use parchmint::{CompiledDevice, ConnectionId, Device};
 use parchmint_resilience::Meter;
@@ -33,15 +33,11 @@ use std::collections::{BinaryHeap, HashSet};
 /// router drains quickly into a well-formed partial [`RoutingResult`].
 pub const ROUTE_CHECK_INTERVAL: u32 = 2048;
 
-/// Tuning knobs for [`AStarRouter`].
+/// Tuning knobs for [`AStarRouter`], the two values its E7 ablation
+/// varies. The lattice (cell size, clearance, step cost) is the same for
+/// every router.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridRouterConfig {
-    /// Routing-grid cell size, in µm.
-    pub cell: i64,
-    /// Clearance kept around component footprints, in µm.
-    pub clearance: i64,
-    /// Cost of one cell step (scaled integers).
-    pub step_cost: u32,
     /// Extra cost per 90° bend.
     pub bend_penalty: u32,
     /// Rip-up-and-reroute attempts after a failing pass (0 disables).
@@ -51,10 +47,7 @@ pub struct GridRouterConfig {
 impl Default for GridRouterConfig {
     fn default() -> Self {
         GridRouterConfig {
-            cell: 200,
-            clearance: 100,
-            step_cost: 10,
-            bend_penalty: 30,
+            bend_penalty: BEND_PENALTY,
             reroute_attempts: 2,
         }
     }
@@ -81,19 +74,20 @@ impl AStarRouter {
 pub(crate) const BLOCK_COMPONENT: u8 = 1;
 const BLOCK_NET: u8 = 2;
 
-/// The shared routing lattice: die discretized into `cell`-sized squares
-/// with per-cell blockage flags. Built by the A* router and reused by the
-/// negotiated-congestion router (which layers its own occupancy and
+/// The shared routing lattice: die discretized into [`CELL`]-sized
+/// squares with per-cell blockage flags. Built by the A* router and reused
+/// by the negotiated-congestion router (which layers its own occupancy and
 /// history arrays on top of the same geometry).
 pub(crate) struct RoutingGrid {
     pub(crate) cols: i64,
     pub(crate) rows: i64,
-    pub(crate) cell: i64,
     pub(crate) blocked: Vec<u8>,
 }
 
 impl RoutingGrid {
-    pub(crate) fn from_device(device: &Device, cell: i64, clearance: i64) -> Self {
+    /// The lattice over `device`'s outline, with placed footprints
+    /// inflated by [`CLEARANCE`] blocked.
+    pub(crate) fn from_device(device: &Device) -> Self {
         let bounds = device
             .declared_bounds()
             .map(|s| Rect::new(Point::ORIGIN, s))
@@ -103,8 +97,8 @@ impl RoutingGrid {
                 parchmint::geometry::Span::square(1000),
             ));
         let max = bounds.max();
-        let cols = (max.x / cell + 2).max(2);
-        let rows = (max.y / cell + 2).max(2);
+        let cols = (max.x / CELL + 2).max(2);
+        let rows = (max.y / CELL + 2).max(2);
         // The outline comes from the document, so check the search's state
         // limit (see `Search::new`) before allocating anything grid-sized.
         let cells = cols
@@ -116,11 +110,10 @@ impl RoutingGrid {
         let mut grid = RoutingGrid {
             cols,
             rows,
-            cell,
             blocked: vec![0; cells as usize],
         };
         for feature in device.features.iter().filter_map(|f| f.as_component()) {
-            grid.block_rect(feature.footprint().inflated(clearance), BLOCK_COMPONENT);
+            grid.block_rect(feature.footprint().inflated(CLEARANCE), BLOCK_COMPONENT);
         }
         grid
     }
@@ -131,16 +124,13 @@ impl RoutingGrid {
 
     pub(crate) fn cell_of(&self, p: Point) -> (i64, i64) {
         (
-            (p.x / self.cell).clamp(0, self.cols - 1),
-            (p.y / self.cell).clamp(0, self.rows - 1),
+            (p.x / CELL).clamp(0, self.cols - 1),
+            (p.y / CELL).clamp(0, self.rows - 1),
         )
     }
 
     pub(crate) fn center(&self, cx: i64, cy: i64) -> Point {
-        Point::new(
-            cx * self.cell + self.cell / 2,
-            cy * self.cell + self.cell / 2,
-        )
+        Point::new(cx * CELL + CELL / 2, cy * CELL + CELL / 2)
     }
 
     /// Blocks every cell whose *centre* lies inside `rect` (centre-based
@@ -151,8 +141,8 @@ impl RoutingGrid {
         let (x0, y0) = self.cell_of(rect.min);
         let max = rect.max();
         let (x1, y1) = (
-            (max.x / self.cell).clamp(0, self.cols - 1),
-            (max.y / self.cell).clamp(0, self.rows - 1),
+            (max.x / CELL).clamp(0, self.cols - 1),
+            (max.y / CELL).clamp(0, self.rows - 1),
         );
         for cy in y0..=y1 {
             for cx in x0..=x1 {
@@ -473,28 +463,8 @@ impl FreeCells {
     }
 }
 
-/// Collapses collinear runs in a waypoint list.
-pub(crate) fn simplify(points: Vec<Point>) -> Vec<Point> {
-    let mut out: Vec<Point> = Vec::with_capacity(points.len());
-    for p in points {
-        if out.last() == Some(&p) {
-            continue;
-        }
-        if out.len() >= 2 {
-            let a = out[out.len() - 2];
-            let b = out[out.len() - 1];
-            if (a.x == b.x && b.x == p.x) || (a.y == b.y && b.y == p.y) {
-                *out.last_mut().expect("non-empty") = p;
-                continue;
-            }
-        }
-        out.push(p);
-    }
-    out
-}
-
 /// Builds a rectilinear waypoint list: exact port endpoints joined to the
-/// cell-centre path with elbows.
+/// cell-centre path with elbows. [`Net::routed`] cleans it.
 pub(crate) fn to_waypoints(
     grid: &RoutingGrid,
     src: Point,
@@ -519,7 +489,7 @@ pub(crate) fn to_waypoints(
         }
     }
     points.push(dst);
-    simplify(points)
+    points
 }
 
 impl Router for AStarRouter {
@@ -529,27 +499,24 @@ impl Router for AStarRouter {
 
     fn route(&self, compiled: &CompiledDevice) -> RoutingResult {
         parchmint_resilience::fault::inject("pnr.route");
-        let device = compiled.device();
-        // Route order: shortest estimated nets first.
-        let mut order: Vec<usize> = (0..device.connections.len()).collect();
-        let estimate = |i: usize| -> i64 {
-            let c = &device.connections[i];
-            let Some(src) = compiled.target_position(&c.source) else {
-                return i64::MAX;
-            };
-            c.sinks
-                .iter()
-                .filter_map(|s| compiled.target_position(s))
-                .map(|p| src.manhattan_distance(p))
-                .sum()
-        };
-        order.sort_by_key(|&i| estimate(i));
+        // Route order: shortest estimated nets first. A net that cannot be
+        // searched fails in every pass.
+        let mut order: Vec<Net> = Vec::new();
+        let mut unroutable: Vec<ConnectionId> = Vec::new();
+        for net in nets(compiled) {
+            match net {
+                Ok(net) => order.push(net),
+                Err(id) => unroutable.push(id),
+            }
+        }
+        order.sort_by_key(Net::estimate);
 
-        let mut grid = RoutingGrid::from_device(device, self.config.cell, self.config.clearance);
+        let mut grid = RoutingGrid::from_device(compiled.device());
         let mut search = Search::new(&grid);
         let mut free = FreeCells::new(&grid);
-        let mut pass = |order: &[usize]| {
-            self.route_in_order(compiled, order, &mut grid, &mut search, &mut free)
+        let mut pass = |order: &[Net]| {
+            let failed = unroutable.clone();
+            self.route_in_order(order, failed, &mut grid, &mut search, &mut free)
         };
 
         // Rip-up and re-route: when nets fail because earlier routes walled
@@ -564,9 +531,9 @@ impl Router for AStarRouter {
                 break;
             }
             let failed_ids: HashSet<&ConnectionId> = best.failed.iter().collect();
-            let (failed, rest): (Vec<usize>, Vec<usize>) = order
-                .iter()
-                .partition(|&&i| failed_ids.contains(&device.connections[i].id));
+            let (failed, rest): (Vec<Net>, Vec<Net>) = order
+                .into_iter()
+                .partition(|net| failed_ids.contains(&net.connection.id));
             order = failed.into_iter().chain(rest).collect();
             ripup_rounds += 1;
             let retry = pass(&order);
@@ -576,60 +543,43 @@ impl Router for AStarRouter {
                 break;
             }
         }
-        if parchmint_obs::enabled() {
-            parchmint_obs::count("pnr.route.ripup_rounds", ripup_rounds);
-            parchmint_obs::count("pnr.route.routed", best.routed.len() as u64);
-            parchmint_obs::count("pnr.route.failed", best.failed.len() as u64);
-        }
+        count(&best, ripup_rounds);
         best
     }
 }
 
 impl AStarRouter {
-    /// One sequential pass in `order`. Starts by clearing the previous
-    /// pass's net blockage from `grid`.
+    /// One sequential pass in `order`, appending the nets that fail to
+    /// `failed`. Starts by clearing the previous pass's net blockage from
+    /// `grid`.
     fn route_in_order(
         &self,
-        compiled: &CompiledDevice,
-        order: &[usize],
+        order: &[Net],
+        failed: Vec<ConnectionId>,
         grid: &mut RoutingGrid,
         search: &mut Search,
         free: &mut FreeCells,
     ) -> RoutingResult {
-        let device = compiled.device();
         for flags in &mut grid.blocked {
             *flags &= !BLOCK_NET;
         }
-        let mut result = RoutingResult::default();
+        let mut result = RoutingResult {
+            routed: Vec::new(),
+            failed,
+        };
         let tracing = parchmint_obs::enabled();
         let pass_start = search.expanded;
         let mut meter = Meter::new(ROUTE_CHECK_INTERVAL);
-        for &i in order {
-            let connection = &device.connections[i];
-            let Some(src) = compiled.target_position(&connection.source) else {
-                result.failed.push(connection.id.clone());
-                continue;
-            };
-            let sinks: Vec<Point> = connection
-                .sinks
-                .iter()
-                .filter_map(|s| compiled.target_position(s))
-                .collect();
-            if sinks.len() != connection.sinks.len() || sinks.is_empty() {
-                result.failed.push(connection.id.clone());
-                continue;
-            }
-
-            let src_cell = grid.cell_of(src);
+        for net in order {
+            let src_cell = grid.cell_of(net.source);
             for c in grid.disc(src_cell, 2) {
                 free.insert(c);
             }
 
-            let mut branches: Vec<Vec<Point>> = Vec::with_capacity(sinks.len());
+            let mut branches: Vec<Vec<Point>> = Vec::with_capacity(net.sinks.len());
             let mut net_cells: Vec<usize> = Vec::new();
             let net_start = search.expanded;
-            let mut ok = true;
-            for &sink in &sinks {
+            for &sink in &net.sinks {
                 let sink_cell = grid.cell_of(sink);
                 for c in grid.disc(sink_cell, 2) {
                     free.insert(c);
@@ -638,28 +588,23 @@ impl AStarRouter {
                 // this net's free cells: an endpoint escape zone, or a cell
                 // of an earlier branch (branches merge).
                 let passable = |c: usize| (free.contains(c) || grid.blocked[c] == 0).then_some(0);
-                match search.run::<true>(
+                let Some(cells) = search.run::<true>(
                     grid,
-                    self.config.step_cost,
+                    STEP_COST,
                     self.config.bend_penalty,
                     src_cell,
                     sink_cell,
                     None,
                     &mut meter,
                     passable,
-                ) {
-                    Some(cells) => {
-                        branches.push(to_waypoints(grid, src, sink, &cells));
-                        for (cx, cy) in cells {
-                            let idx = grid.index(cx, cy);
-                            net_cells.push(idx);
-                            free.insert(idx);
-                        }
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
+                ) else {
+                    break;
+                };
+                branches.push(to_waypoints(grid, net.source, sink, &cells));
+                for (cx, cy) in cells {
+                    let idx = grid.index(cx, cy);
+                    net_cells.push(idx);
+                    free.insert(idx);
                 }
             }
             free.clear();
@@ -667,17 +612,13 @@ impl AStarRouter {
             if tracing {
                 parchmint_obs::observe("pnr.route.net_expansions", search.expanded - net_start);
             }
-            if ok {
+            if branches.len() == net.sinks.len() {
                 for idx in net_cells {
                     grid.blocked[idx] |= BLOCK_NET;
                 }
-                result.routed.push(RoutedNet {
-                    connection: connection.id.clone(),
-                    layer: connection.layer.clone(),
-                    branches,
-                });
+                result.routed.push(net.routed(branches));
             } else {
-                result.failed.push(connection.id.clone());
+                result.failed.push(net.connection.id.clone());
             }
         }
         if tracing {
@@ -815,22 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn simplify_collapses_collinear_points() {
-        let pts = vec![
-            Point::new(0, 0),
-            Point::new(5, 0),
-            Point::new(9, 0),
-            Point::new(9, 4),
-            Point::new(9, 4),
-            Point::new(9, 9),
-        ];
-        assert_eq!(
-            simplify(pts),
-            vec![Point::new(0, 0), Point::new(9, 0), Point::new(9, 9)]
-        );
-    }
-
-    #[test]
     fn router_name() {
         assert_eq!(AStarRouter::new().name(), "astar");
     }
@@ -845,7 +770,6 @@ mod tests {
         RoutingGrid {
             cols,
             rows,
-            cell: 200,
             blocked,
         }
     }
@@ -961,7 +885,6 @@ mod tests {
         let grid = RoutingGrid {
             cols,
             rows,
-            cell: 200,
             blocked,
         };
         let mut search = Search::new(&grid);

@@ -41,19 +41,11 @@
 //! legal routing reached so far.
 
 use super::grid::{to_waypoints, FreeCells, RoutingGrid, Search, Window, ROUTE_CHECK_INTERVAL};
-use super::{RoutedNet, Router, RoutingResult};
+use super::{count, nets, Net, RoutedNet, Router, RoutingResult, BEND_PENALTY, STEP_COST};
 use parchmint::geometry::Point;
 use parchmint::{CompiledDevice, ConnectionId};
 use parchmint_resilience::Meter;
 
-/// Routing-grid cell size, in µm.
-const CELL: i64 = 200;
-/// Clearance kept around component footprints, in µm.
-const CLEARANCE: i64 = 100;
-/// Cost of one cell step (scaled integers).
-const STEP_COST: u32 = 10;
-/// Extra cost per 90° bend.
-const BEND_PENALTY: u32 = 30;
 /// Maximum rip-up-and-reroute iterations before hardening.
 const MAX_ITERATIONS: u32 = 20;
 /// First-iteration cost per foreign occupant of a shared cell; doubles
@@ -78,11 +70,10 @@ impl NegotiatedRouter {
 }
 
 /// Per-net negotiation state.
-struct NetState {
+struct NetState<'a> {
     /// Index into `device.connections` (declaration order).
     conn: usize,
-    src: Point,
-    sinks: Vec<Point>,
+    net: Net<'a>,
     src_cell: (i64, i64),
     sink_cells: Vec<(i64, i64)>,
     /// Escape-zone cells around the net's own terminals: passable despite
@@ -95,6 +86,29 @@ struct NetState {
     /// Committed waypoint branches, one per sink.
     branches: Vec<Vec<Point>>,
     routed: bool,
+}
+
+impl<'a> NetState<'a> {
+    fn new(conn: usize, net: Net<'a>, grid: &RoutingGrid) -> Self {
+        let src_cell = grid.cell_of(net.source);
+        let sink_cells: Vec<(i64, i64)> = net.sinks.iter().map(|&p| grid.cell_of(p)).collect();
+        let mut escape = grid.disc(src_cell, 2);
+        for &sc in &sink_cells {
+            escape.extend(grid.disc(sc, 2));
+        }
+        escape.sort_unstable();
+        escape.dedup();
+        NetState {
+            conn,
+            net,
+            src_cell,
+            sink_cells,
+            escape,
+            cells: Vec::new(),
+            branches: Vec::new(),
+            routed: false,
+        }
+    }
 }
 
 struct Negotiation<'a> {
@@ -130,21 +144,21 @@ impl Negotiation<'_> {
     /// the search loop.
     fn route_net<const HARD: bool>(
         &mut self,
-        net: &NetState,
+        state: &NetState,
         meter: &mut Meter,
     ) -> Option<(Vec<Vec<Point>>, Vec<usize>)> {
         // Escape cells start out free, so the commit loop below never
         // charges them to this net's occupancy.
         self.free.clear();
-        for &c in &net.escape {
+        for &c in &state.escape {
             self.free.insert(c);
         }
 
         let (grid, step, bend) = (self.grid, STEP_COST, BEND_PENALTY);
-        let mut branches = Vec::with_capacity(net.sinks.len());
+        let mut branches = Vec::with_capacity(state.net.sinks.len());
         let mut cells: Vec<usize> = Vec::new();
-        for (sink, &sink_cell) in net.sinks.iter().zip(&net.sink_cells) {
-            let bounds = self.window_for(net.src_cell, sink_cell);
+        for (sink, &sink_cell) in state.net.sinks.iter().zip(&state.sink_cells) {
+            let bounds = self.window_for(state.src_cell, sink_cell);
             // The net's free cells cost nothing. Elsewhere negotiation
             // prices a cell from the table; hardening makes occupied cells
             // impassable and charges nothing else.
@@ -155,7 +169,7 @@ impl Negotiation<'_> {
                 (false, false) => cost[c],
             };
             let mut search = |window| {
-                let (start, goal) = (net.src_cell, sink_cell);
+                let (start, goal) = (state.src_cell, sink_cell);
                 self.kernel
                     .run::<HARD>(grid, step, bend, start, goal, window, meter, price)
             };
@@ -163,9 +177,9 @@ impl Negotiation<'_> {
             // though free silicon exists outside it; widen to the whole
             // grid before giving up on the sink.
             let found = search(Some(bounds)).or_else(|| search(None))?;
-            branches.push(to_waypoints(self.grid, net.src, *sink, &found));
+            branches.push(to_waypoints(grid, state.net.source, *sink, &found));
             for (cx, cy) in found {
-                let idx = self.grid.index(cx, cy);
+                let idx = grid.index(cx, cy);
                 // Own cells become free for later branches (trunk sharing).
                 if self.free.insert(idx) {
                     cells.push(idx);
@@ -184,24 +198,24 @@ impl Negotiation<'_> {
         )
     }
 
-    fn rip_up(&mut self, net: &mut NetState) {
-        for &c in &net.cells {
+    fn rip_up(&mut self, state: &mut NetState) {
+        for &c in &state.cells {
             self.occupancy[c] = self.occupancy[c].saturating_sub(1);
             self.refresh(c);
         }
-        net.cells.clear();
-        net.branches.clear();
-        net.routed = false;
+        state.cells.clear();
+        state.branches.clear();
+        state.routed = false;
     }
 
-    fn commit(&mut self, net: &mut NetState, branches: Vec<Vec<Point>>, cells: Vec<usize>) {
+    fn commit(&mut self, state: &mut NetState, branches: Vec<Vec<Point>>, cells: Vec<usize>) {
         for &c in &cells {
             self.occupancy[c] += 1;
             self.refresh(c);
         }
-        net.branches = branches;
-        net.cells = cells;
-        net.routed = true;
+        state.branches = branches;
+        state.cells = cells;
+        state.routed = true;
     }
 
     /// Cells currently claimed by more than one net.
@@ -222,56 +236,22 @@ impl Router for NegotiatedRouter {
 
     fn route(&self, compiled: &CompiledDevice) -> RoutingResult {
         parchmint_resilience::fault::inject("pnr.route");
-        let device = compiled.device();
-        let grid = RoutingGrid::from_device(device, CELL, CLEARANCE);
+        let grid = RoutingGrid::from_device(compiled.device());
         let n_cells = grid.blocked.len();
 
-        // Per-net state; nets with unplaced terminals fail up front.
+        // Per-net state; nets that cannot be searched fail up front.
         let mut failed: Vec<(usize, ConnectionId)> = Vec::new();
-        let mut nets: Vec<NetState> = Vec::new();
-        for (i, connection) in device.connections.iter().enumerate() {
-            let Some(src) = compiled.target_position(&connection.source) else {
-                failed.push((i, connection.id.clone()));
-                continue;
-            };
-            let sinks: Vec<Point> = connection
-                .sinks
-                .iter()
-                .filter_map(|s| compiled.target_position(s))
-                .collect();
-            if sinks.len() != connection.sinks.len() || sinks.is_empty() {
-                failed.push((i, connection.id.clone()));
-                continue;
+        let mut states: Vec<NetState> = Vec::new();
+        for (i, net) in nets(compiled).into_iter().enumerate() {
+            match net {
+                Ok(net) => states.push(NetState::new(i, net, &grid)),
+                Err(id) => failed.push((i, id)),
             }
-            let src_cell = grid.cell_of(src);
-            let sink_cells: Vec<(i64, i64)> = sinks.iter().map(|&p| grid.cell_of(p)).collect();
-            let mut escape = grid.disc(src_cell, 2);
-            for &sc in &sink_cells {
-                escape.extend(grid.disc(sc, 2));
-            }
-            escape.sort_unstable();
-            escape.dedup();
-            nets.push(NetState {
-                conn: i,
-                src,
-                sinks,
-                src_cell,
-                sink_cells,
-                escape,
-                cells: Vec::new(),
-                branches: Vec::new(),
-                routed: false,
-            });
         }
 
         // Stable negotiation order: shortest estimated nets first, ties in
         // declaration order (the sort is stable).
-        nets.sort_by_key(|net| {
-            net.sinks
-                .iter()
-                .map(|p| net.src.manhattan_distance(*p))
-                .sum::<i64>()
-        });
+        states.sort_by_key(|state| state.net.estimate());
 
         let mut negotiation = Negotiation {
             grid: &grid,
@@ -301,10 +281,10 @@ impl Router for NegotiatedRouter {
             for cell in 0..n_cells {
                 negotiation.refresh(cell);
             }
-            for net in nets.iter_mut() {
-                negotiation.rip_up(net);
-                if let Some((branches, cells)) = negotiation.route_net::<false>(net, &mut meter) {
-                    negotiation.commit(net, branches, cells);
+            for state in states.iter_mut() {
+                negotiation.rip_up(state);
+                if let Some((branches, cells)) = negotiation.route_net::<false>(state, &mut meter) {
+                    negotiation.commit(state, branches, cells);
                 }
             }
             let overused = negotiation.overused();
@@ -328,49 +308,34 @@ impl Router for NegotiatedRouter {
         // interruption the tripped meter makes every re-search fail
         // instantly, so exactly the conflict-free subset of the last
         // completed iteration survives.
-        let keep: Vec<bool> = nets
+        let keep: Vec<bool> = states
             .iter()
-            .map(|net| net.routed && net.cells.iter().all(|&c| negotiation.occupancy[c] == 1))
+            .map(|state| state.routed && state.cells.iter().all(|&c| negotiation.occupancy[c] == 1))
             .collect();
         negotiation.occupancy.fill(0);
-        for (net, &kept) in nets.iter().zip(&keep) {
+        for (state, &kept) in states.iter().zip(&keep) {
             if kept {
-                for &c in &net.cells {
+                for &c in &state.cells {
                     negotiation.occupancy[c] += 1;
                 }
             }
         }
-        let mut routed: Vec<(usize, RoutedNet)> = Vec::with_capacity(nets.len());
+        let mut routed: Vec<(usize, RoutedNet)> = Vec::with_capacity(states.len());
         let mut hard_rerouted = 0u64;
-        for (i, net) in nets.iter().enumerate() {
-            let connection = &device.connections[net.conn];
-            if keep[i] {
-                routed.push((
-                    net.conn,
-                    RoutedNet {
-                        connection: connection.id.clone(),
-                        layer: connection.layer.clone(),
-                        branches: net.branches.clone(),
-                    },
-                ));
+        for (state, kept) in states.into_iter().zip(keep) {
+            if kept {
+                routed.push((state.conn, state.net.routed(state.branches)));
                 continue;
             }
-            match negotiation.route_net::<true>(net, &mut meter) {
+            match negotiation.route_net::<true>(&state, &mut meter) {
                 Some((branches, cells)) => {
                     hard_rerouted += 1;
                     for &c in &cells {
                         negotiation.occupancy[c] += 1;
                     }
-                    routed.push((
-                        net.conn,
-                        RoutedNet {
-                            connection: connection.id.clone(),
-                            layer: connection.layer.clone(),
-                            branches,
-                        },
-                    ));
+                    routed.push((state.conn, state.net.routed(branches)));
                 }
-                None => failed.push((net.conn, connection.id.clone())),
+                None => failed.push((state.conn, state.net.connection.id.clone())),
             }
         }
 
@@ -381,19 +346,18 @@ impl Router for NegotiatedRouter {
                 negotiation.kernel.expanded,
             );
             parchmint_obs::count("pnr.route.negotiate.hard_rerouted", hard_rerouted);
-            parchmint_obs::count("pnr.route.ripup_rounds", iterations.saturating_sub(1));
-            parchmint_obs::count("pnr.route.routed", routed.len() as u64);
-            parchmint_obs::count("pnr.route.failed", failed.len() as u64);
             parchmint_obs::count("pnr.route.expansions", negotiation.kernel.expanded);
         }
 
-        // Report in connection declaration order, like the other routers.
+        // Report in connection declaration order.
         routed.sort_by_key(|&(i, _)| i);
         failed.sort_by_key(|&(i, _)| i);
-        RoutingResult {
+        let result = RoutingResult {
             routed: routed.into_iter().map(|(_, net)| net).collect(),
             failed: failed.into_iter().map(|(_, id)| id).collect(),
-        }
+        };
+        count(&result, iterations.saturating_sub(1));
+        result
     }
 }
 
@@ -452,7 +416,7 @@ mod tests {
         let d = placed("logic_gate_and");
         let compiled = CompiledDevice::from_ref(&d);
         let result = NegotiatedRouter::new().route(&compiled);
-        let grid = RoutingGrid::from_device(&d, CELL, CLEARANCE);
+        let grid = RoutingGrid::from_device(&d);
 
         // Rebuild each net's claimed cells the way the router charges them:
         // rasterize branch segments, drop cells inside the net's own

@@ -7,12 +7,9 @@
 //! naive strategy the maze router is measured against: fast, minimal
 //! wirelength when it succeeds, but completion collapses as density grows.
 
-use super::{RoutedNet, Router, RoutingResult};
-use parchmint::geometry::{Point, Rect, Span};
+use super::{count, nets, Router, RoutingResult, CLEARANCE};
+use parchmint::geometry::{Point, Rect};
 use parchmint::CompiledDevice;
-
-/// Clearance kept around foreign component footprints, in µm.
-const CLEARANCE: i64 = 100;
 
 /// The L-path baseline router.
 #[derive(Debug, Clone, Default)]
@@ -23,19 +20,6 @@ impl StraightRouter {
     pub fn new() -> Self {
         StraightRouter
     }
-}
-
-/// A thin rectangle standing in for a rectilinear segment (zero-extent axes
-/// widened to 1 µm so interior-overlap tests work).
-fn segment_rect(a: Point, b: Point) -> Rect {
-    let mut r = Rect::from_corners(a, b);
-    if r.span.x == 0 {
-        r.span = Span::new(1, r.span.y.max(1));
-    }
-    if r.span.y == 0 {
-        r.span = Span::new(r.span.x.max(1), 1);
-    }
-    r
 }
 
 fn path_segments(path: &[Point]) -> impl Iterator<Item = (Point, Point)> + '_ {
@@ -61,28 +45,25 @@ impl Router for StraightRouter {
             .collect();
         let mut accepted_segments: Vec<(Point, Point)> = Vec::new();
 
-        for connection in &device.connections {
-            let Some(src) = compiled.target_position(&connection.source) else {
-                result.failed.push(connection.id.clone());
-                continue;
+        for net in nets(compiled) {
+            let net = match net {
+                Ok(net) => net,
+                Err(id) => {
+                    result.failed.push(id);
+                    continue;
+                }
             };
-            let sinks: Vec<Point> = connection
-                .sinks
-                .iter()
-                .filter_map(|s| compiled.target_position(s))
-                .collect();
-            if sinks.len() != connection.sinks.len() || sinks.is_empty() {
-                result.failed.push(connection.id.clone());
-                continue;
-            }
-            let terminal_ids: Vec<&str> = connection
+            let terminal_ids: Vec<&str> = net
+                .connection
                 .terminals()
                 .map(|t| t.component.as_str())
                 .collect();
 
-            let legal = |path: &[Point], accepted: &[(Point, Point)]| -> bool {
+            // A path is legal when it crosses no foreign footprint, no
+            // accepted channel and no branch of this net chosen so far.
+            let legal = |path: &[Point], pending: &[(Point, Point)]| -> bool {
                 for (a, b) in path_segments(path) {
-                    let seg = segment_rect(a, b);
+                    let seg = Rect::of_segment(a, b);
                     for (owner, rect) in &obstacles {
                         if terminal_ids.contains(&owner.as_str()) {
                             continue;
@@ -91,8 +72,8 @@ impl Router for StraightRouter {
                             return false;
                         }
                     }
-                    for &(pa, pb) in accepted {
-                        if seg.intersects(segment_rect(pa, pb)) {
+                    for &(pa, pb) in accepted_segments.iter().chain(pending) {
+                        if seg.intersects(Rect::of_segment(pa, pb)) {
                             return false;
                         }
                     }
@@ -100,60 +81,30 @@ impl Router for StraightRouter {
                 true
             };
 
-            let mut branches = Vec::with_capacity(sinks.len());
+            let src = net.source;
+            let mut branches = Vec::with_capacity(net.sinks.len());
             let mut pending: Vec<(Point, Point)> = Vec::new();
-            let mut ok = true;
-            for &sink in &sinks {
+            for &sink in &net.sinks {
                 // Two dog-leg candidates.
                 let horizontal_first = vec![src, Point::new(sink.x, src.y), sink];
                 let vertical_first = vec![src, Point::new(src.x, sink.y), sink];
-                let all_accepted: Vec<(Point, Point)> = accepted_segments
-                    .iter()
-                    .chain(pending.iter())
-                    .copied()
-                    .collect();
-                let chosen = [horizontal_first, vertical_first]
+                let Some(path) = [horizontal_first, vertical_first]
                     .into_iter()
-                    .find(|p| legal(p, &all_accepted));
-                match chosen {
-                    Some(path) => {
-                        pending.extend(path_segments(&path));
-                        branches.push(
-                            path.into_iter()
-                                .filter({
-                                    // Drop degenerate elbows (src and sink aligned).
-                                    let mut prev: Option<Point> = None;
-                                    move |p| {
-                                        let keep = prev != Some(*p);
-                                        prev = Some(*p);
-                                        keep
-                                    }
-                                })
-                                .collect(),
-                        );
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
+                    .find(|p| legal(p, &pending))
+                else {
+                    break;
+                };
+                pending.extend(path_segments(&path));
+                branches.push(path);
             }
-            if ok {
+            if branches.len() == net.sinks.len() {
                 accepted_segments.extend(pending);
-                result.routed.push(RoutedNet {
-                    connection: connection.id.clone(),
-                    layer: connection.layer.clone(),
-                    branches,
-                });
+                result.routed.push(net.routed(branches));
             } else {
-                result.failed.push(connection.id.clone());
+                result.failed.push(net.connection.id.clone());
             }
         }
-        if parchmint_obs::enabled() {
-            parchmint_obs::count("pnr.route.ripup_rounds", 0);
-            parchmint_obs::count("pnr.route.routed", result.routed.len() as u64);
-            parchmint_obs::count("pnr.route.failed", result.failed.len() as u64);
-        }
+        count(&result, 0);
         result
     }
 }

@@ -10,11 +10,11 @@
 //! cooperates with backpressure instead of stampeding.
 //!
 //! Faults are typed, not stringly: every operation returns
-//! [`ClientError`], so retry logic branches on kind (`Closed` vs
-//! `Busy` vs a fatal `Taxonomy` refusal) instead of substring
-//! matching. Connects and reads run under configurable deadlines
-//! ([`ClientConfig`]), and reconnect pauses come from a seeded
-//! decorrelated-jitter [`Backoff`], deterministic for a fixed seed.
+//! [`ClientError`], so retry logic branches on kind (`Closed` vs a
+//! fatal `Taxonomy` refusal) instead of substring matching. Connects
+//! and reads run under configurable deadlines ([`ClientConfig`]), and
+//! reconnect pauses come from a seeded decorrelated-jitter
+//! [`Backoff`], deterministic for a fixed seed.
 //!
 //! When the wire fails mid-batch — torn connection, timeout, garbage
 //! that desynchronized the stream — [`Client::submit_designs`]
@@ -57,11 +57,6 @@ pub enum ClientError {
     /// The wire desynchronized: an unparseable event, or an event for
     /// an id this client never submitted.
     Protocol(String),
-    /// The daemon shed load; retry after the hinted pause.
-    Busy {
-        /// The daemon's deterministic backoff hint, when it sent one.
-        retry_after_ms: Option<u64>,
-    },
     /// A refusal from the closed error taxonomy — deterministic, so
     /// retrying the same request cannot help.
     Taxonomy {
@@ -78,10 +73,6 @@ impl fmt::Display for ClientError {
             ClientError::Io(error) => write!(f, "io: {error}"),
             ClientError::Closed => write!(f, "daemon closed the connection"),
             ClientError::Protocol(detail) => write!(f, "protocol: {detail}"),
-            ClientError::Busy { retry_after_ms } => match retry_after_ms {
-                Some(ms) => write!(f, "daemon busy (retry after {ms} ms)"),
-                None => write!(f, "daemon busy"),
-            },
             ClientError::Taxonomy { kind, message } => write!(f, "refused ({kind}): {message}"),
         }
     }
@@ -566,14 +557,9 @@ impl Client {
     }
 }
 
-/// Maps an `error` event to the matching [`ClientError`] variant.
+/// Maps an `error` event to its [`ClientError::Taxonomy`] refusal.
 fn taxonomy_error(event: &Value) -> ClientError {
     let kind = event["error"]["kind"].as_str().unwrap_or_default();
-    if kind == "busy" {
-        return ClientError::Busy {
-            retry_after_ms: event["error"]["retry_after_ms"].as_u64(),
-        };
-    }
     ClientError::Taxonomy {
         kind: kind.to_string(),
         message: event["error"]["message"]
@@ -801,12 +787,6 @@ mod tests {
     fn client_errors_render_their_kind() {
         let cases: Vec<(ClientError, &str)> = vec![
             (ClientError::Closed, "closed the connection"),
-            (
-                ClientError::Busy {
-                    retry_after_ms: Some(125),
-                },
-                "retry after 125 ms",
-            ),
             (
                 ClientError::Taxonomy {
                     kind: "invalid_design".into(),

@@ -1,8 +1,9 @@
 //! A minimal, hand-rolled HTTP/1.1 front end beside the line-JSON
 //! protocol.
 //!
-//! Three routes, all JSON, all served by the *same* [`Service`], worker
-//! pool, admission queue, and tiered cache as the line protocol:
+//! Three routes, all JSON, all served by the *same*
+//! [`Service`](crate::Service), worker pool, admission queue, and tiered
+//! cache as the line protocol:
 //!
 //! - `POST /v1/submit` — body is the same object as a line-protocol
 //!   `submit` (`op` optional; the route implies it), admitted through

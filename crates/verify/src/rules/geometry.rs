@@ -2,7 +2,7 @@
 
 use crate::diagnostics::{Diagnostic, Report, Rule};
 use crate::validator::DesignRules;
-use parchmint::geometry::{Point, Rect, Span};
+use parchmint::geometry::{Point, Rect};
 use parchmint::{CompiledDevice, ComponentFeature, ConnectionFeature, Device};
 
 pub(crate) fn check(compiled: &CompiledDevice, rules: &DesignRules, report: &mut Report) {
@@ -168,19 +168,6 @@ fn check_route_endpoints(
     }
 }
 
-/// Approximates a rectilinear segment as a thin rectangle for
-/// interior-overlap testing (zero-extent axes widened to 1 µm).
-fn segment_rect(a: Point, b: Point) -> Rect {
-    let mut r = Rect::from_corners(a, b);
-    if r.span.x == 0 {
-        r.span = Span::new(1, r.span.y.max(1));
-    }
-    if r.span.y == 0 {
-        r.span = Span::new(r.span.x.max(1), 1);
-    }
-    r
-}
-
 fn check_route_crossings(
     compiled: &CompiledDevice,
     placements: &[&ComponentFeature],
@@ -203,7 +190,7 @@ fn check_route_crossings(
             }
             let footprint = placement.footprint();
             for window in route.waypoints.windows(2) {
-                if segment_rect(window[0], window[1]).intersects(footprint) {
+                if Rect::of_segment(window[0], window[1]).intersects(footprint) {
                     report.push(Diagnostic::new(
                         Rule::GeoRouteCrossesComponent,
                         format!("features[{}]", route.id),

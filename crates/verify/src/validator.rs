@@ -32,8 +32,8 @@ impl Default for DesignRules {
     }
 }
 
-/// Validates [`Device`]s against the interchange contract and a set of
-/// design rules.
+/// Validates [`Device`](parchmint::Device)s against the interchange
+/// contract and a set of design rules.
 ///
 /// # Examples
 ///
